@@ -49,11 +49,11 @@ fn small_n(rank: usize) -> i64 {
     }
 }
 
-/// The distinct workload: every benchmark on every engine.
+/// The distinct workload: every benchmark on every engine preset.
 fn distinct_workload() -> Vec<ServeRequest> {
     let mut distinct = Vec::new();
     for b in &benchmarks::all() {
-        for engine in Engine::all() {
+        for engine in Engine::all().into_iter().filter(|e| e.canonical() == *e) {
             let mut req = RunRequest::new()
                 .with_engine(engine)
                 .with_set(b.size_config, small_n(b.rank));

@@ -1,7 +1,9 @@
 //! Per-pass compile-time profile of the optimization pipeline.
 //!
 //! Runs every paper benchmark through `fusion_core`'s pass manager at one
-//! level (default `c2+f3`) and reports, per pass, the median wall-clock
+//! level spec (default `c2+f3`; the `zlc --level` grammar, so
+//! `--level c2+f3+rce2` schedules the cleanup passes too) and reports,
+//! per pass, the median wall-clock
 //! time plus the statement and cluster counters the manager records. The
 //! verdict is printed as a table and written to `BENCH_passes.json` for
 //! CI trend tracking.
@@ -11,7 +13,7 @@
 //! ```
 
 use fusion_core::pass::PassId;
-use fusion_core::pipeline::{Level, Pipeline};
+use fusion_core::pipeline::{Level, PassSpec, Pipeline};
 use std::fmt::Write as _;
 
 const DEFAULT_ROUNDS: usize = 9;
@@ -28,21 +30,17 @@ fn median(mut xs: Vec<f64>) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut level = Level::C2F3;
-    let (mut dse, mut rce) = (false, false);
+    let mut spec = PassSpec::from(Level::C2F3);
     let mut rounds = DEFAULT_ROUNDS;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--level" => {
                 let v = it.next().unwrap_or_else(|| usage());
-                level = Level::all()
-                    .into_iter()
-                    .find(|l| l.name() == v.as_str())
-                    .unwrap_or_else(|| usage());
+                spec = v.parse().unwrap_or_else(|_| usage());
             }
-            "--dse" => dse = true,
-            "--rce" => rce = true,
+            "--dse" => spec.dse = true,
+            "--rce" => spec.rce = true,
             "--rounds" => {
                 rounds = it
                     .next()
@@ -53,26 +51,11 @@ fn main() {
         }
     }
 
-    let spec = format!(
-        "{}{}{}",
-        level.name(),
-        if dse { "+dse" } else { "" },
-        if rce { "+rce" } else { "" }
-    );
     let mut bench_objects = Vec::new();
     println!("per-pass compile profile at {spec} ({rounds} rounds, median)");
     for b in benchmarks::all() {
         let program = b.program();
-        let pipeline = {
-            let mut p = Pipeline::new(level);
-            if dse {
-                p = p.with_dse();
-            }
-            if rce {
-                p = p.with_rce();
-            }
-            p
-        };
+        let pipeline = Pipeline::new(spec);
         // Warm-up run; its traces also fix the pass schedule and counters.
         let shape = pipeline.optimize(&program);
         let mut per_pass: Vec<Vec<f64>> = vec![Vec::new(); shape.passes.len()];
@@ -135,14 +118,8 @@ fn main() {
     // block's ASDG is built exactly once.
     let scheduled: Vec<&str> = {
         let b = benchmarks::by_name("simple").unwrap();
-        let mut p = Pipeline::new(level);
-        if dse {
-            p = p.with_dse();
-        }
-        if rce {
-            p = p.with_rce();
-        }
-        p.optimize(&b.program())
+        Pipeline::new(spec)
+            .optimize(&b.program())
             .passes
             .iter()
             .map(|t| t.id.name())

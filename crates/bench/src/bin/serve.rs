@@ -1,12 +1,13 @@
 //! Serving-path benchmark: mixed batch replay through the compile cache.
 //!
 //! Builds a mixed workload — every benchmark program at a small problem
-//! size, on every execution engine — and replays it round-robin as a
-//! large request batch through [`fusion_core::serve::serve`] with one
-//! shared [`CompileCache`]. Only the first occurrence of each
-//! (program, binding, level, engine) coordinate compiles; every repeat
-//! is a cache hit that skips the pass pipeline, the bytecode compiler,
-//! and the verifier.
+//! size, on every engine preset (`interp`, `vm`, `vm-par`) — and replays
+//! it round-robin as a large request batch through
+//! [`fusion_core::serve::serve`] with one shared [`CompileCache`]. Only
+//! the first request for each (program, binding, spec, artifact)
+//! coordinate compiles — `vm` and `vm-par` share one verified artifact —
+//! and every repeat is a cache hit that skips the pass pipeline, the
+//! bytecode compiler, and the verifier.
 //!
 //! Asserts the acceptance bars and writes `BENCH_serve.json`:
 //!
@@ -78,12 +79,13 @@ fn main() {
         DEFAULT_REPEATS
     };
 
-    // The distinct workload: every benchmark on every engine, at a small
-    // per-rank size (and minimal outer iterations where applicable).
+    // The distinct workload: every benchmark on every engine preset (the
+    // aliases add nothing), at a small per-rank size (and minimal outer
+    // iterations where applicable).
     let benches = benchmarks::all();
     let mut distinct: Vec<ServeRequest> = Vec::new();
     for b in &benches {
-        for engine in Engine::all() {
+        for engine in Engine::all().into_iter().filter(|e| e.canonical() == *e) {
             let mut req = RunRequest::new()
                 .with_engine(engine)
                 .with_set(b.size_config, small_n(b.rank));

@@ -18,7 +18,7 @@
 //! EXPERIMENTS.md). `--check` therefore refuses to run with `--quick`,
 //! whose shrunken grids inflate the non-eliminable halo fraction.
 
-use fusion_core::pipeline::{Level, Pipeline};
+use fusion_core::pipeline::{Level, PassSpec, Pipeline};
 use loopir::{Engine, NoopObserver};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -59,14 +59,10 @@ fn run_variant(
     rounds: usize,
 ) -> Variant {
     let program = bench.program();
-    let mut pipeline = Pipeline::new(Level::C2F3);
-    match suffix {
-        "" => {}
-        "+rce" => pipeline = pipeline.with_rce(),
-        "+rce2" => pipeline = pipeline.with_rce2(),
-        _ => unreachable!(),
-    }
-    let opt = pipeline.optimize(&program);
+    let spec: PassSpec = format!("{}{suffix}", Level::C2F3)
+        .parse()
+        .expect("a cleanup suffix");
+    let opt = Pipeline::new(spec).optimize(&program);
     let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
     binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
     let mut flops = 0;

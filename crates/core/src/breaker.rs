@@ -249,17 +249,13 @@ impl CircuitBreakers {
 mod tests {
     use super::*;
     use crate::pipeline::Level;
-    use loopir::Engine;
+    use loopir::Artifact;
 
     fn key(content: u64) -> CacheKey {
         CacheKey {
             content,
-            level: Level::C2,
-            dse: false,
-            rce: false,
-            rce2: false,
-            engine: Engine::Vm,
-            simd: false,
+            spec: Level::C2.into(),
+            artifact: Artifact::Verified,
         }
     }
 

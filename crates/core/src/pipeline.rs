@@ -18,6 +18,7 @@ use crate::pass::{self, CompileSession, PassId, PassManager, PassTrace};
 use crate::verify::{Diagnostic, VerifyLevel};
 use loopir::ScalarProgram;
 use std::fmt;
+use std::str::FromStr;
 use zlang::ir::{ArrayId, Program};
 
 /// An optimization level from the paper's evaluation.
@@ -106,6 +107,89 @@ impl Level {
 impl fmt::Display for Level {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// A complete level spec: a paper [`Level`] plus the opt-in array-level
+/// cleanup passes. It is the one value every compile consumer carries
+/// ([`crate::RunRequest`], [`Pipeline`], [`crate::CacheKey`],
+/// [`crate::Supervisor`]), parsed and rendered in the `zlc --level`
+/// grammar: `c2+f3+dse+rce2`. Suffixes parse in any order and render
+/// canonically as `{level}{+dse}{+rce}{+rce2}`.
+///
+/// ```
+/// use fusion_core::pipeline::{Level, PassSpec};
+/// let spec: PassSpec = "c2+f3+rce2+dse".parse().unwrap();
+/// assert_eq!(spec.level, Level::C2F3);
+/// assert!(spec.dse && spec.rce2 && !spec.rce);
+/// assert_eq!(spec.to_string(), "c2+f3+dse+rce2");
+/// assert_eq!(PassSpec::from(Level::C2), "c2".parse().unwrap());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PassSpec {
+    /// The paper optimization level.
+    pub level: Level,
+    /// Run the dead-statement-elimination cleanup pass (`+dse`).
+    pub dse: bool,
+    /// Run the redundant-computation-elimination cleanup pass (`+rce`).
+    pub rce: bool,
+    /// Run the stencil-aware, availability-driven redundancy pass
+    /// (`+rce2`), with its rewrites independently re-verified.
+    pub rce2: bool,
+}
+
+impl From<Level> for PassSpec {
+    fn from(level: Level) -> Self {
+        PassSpec {
+            level,
+            dse: false,
+            rce: false,
+            rce2: false,
+        }
+    }
+}
+
+impl fmt::Display for PassSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.level.name())?;
+        for (on, suffix) in [(self.dse, "+dse"), (self.rce, "+rce"), (self.rce2, "+rce2")] {
+            if on {
+                f.write_str(suffix)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+impl FromStr for PassSpec {
+    type Err = String;
+
+    /// Parses a paper level name optionally followed by `+dse` / `+rce` /
+    /// `+rce2` suffixes in any order.
+    fn from_str(spec: &str) -> Result<Self, String> {
+        let mut out = PassSpec::from(Level::Baseline);
+        let mut base = spec;
+        // Peel suffixes off the end; `c2+f3` stops at its own `+f3`.
+        while let Some((rest, suffix)) = base.rsplit_once('+') {
+            match suffix {
+                "dse" => out.dse = true,
+                "rce" => out.rce = true,
+                "rce2" => out.rce2 = true,
+                _ => break,
+            }
+            base = rest;
+        }
+        out.level = Level::all()
+            .into_iter()
+            .find(|l| l.name() == base)
+            .ok_or_else(|| {
+                format!(
+                    "unknown level `{spec}` (expected one of: {}; append `+dse`/`+rce`/`+rce2` \
+                     for the cleanup passes)",
+                    Level::all().map(|l| l.name()).join(", ")
+                )
+            })?;
+        Ok(out)
     }
 }
 
@@ -224,40 +308,34 @@ impl Optimized {
 /// The optimization pipeline: normalization, per-block ASDG construction,
 /// fusion, contraction, and scalarization at a chosen [`Level`].
 pub struct Pipeline<'f> {
-    level: Level,
+    spec: PassSpec,
     forbid: Option<Box<ForbidFn<'f>>>,
     base_opts: FusionOpts,
     spatial_cap: Option<usize>,
     dimension_contraction: bool,
     verify: VerifyLevel,
-    dse: bool,
-    rce: bool,
-    rce2: bool,
     emit: Option<PassId>,
 }
 
 impl fmt::Debug for Pipeline<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pipeline")
-            .field("level", &self.level)
+            .field("spec", &self.spec)
             .field("forbid", &self.forbid.is_some())
             .finish()
     }
 }
 
 impl<'f> Pipeline<'f> {
-    /// Creates a pipeline at a level.
-    pub fn new(level: Level) -> Self {
+    /// Creates a pipeline at a level or a full [`PassSpec`].
+    pub fn new(spec: impl Into<PassSpec>) -> Self {
         Pipeline {
-            level,
+            spec: spec.into(),
             forbid: None,
             base_opts: FusionOpts::default(),
             spatial_cap: None,
             dimension_contraction: false,
             verify: VerifyLevel::default(),
-            dse: false,
-            rce: false,
-            rce2: false,
             emit: None,
         }
     }
@@ -267,7 +345,7 @@ impl<'f> Pipeline<'f> {
     /// overwritten later in the block are removed. Off at every paper
     /// level (`+dse` level suffix in `zlc`).
     pub fn with_dse(mut self) -> Self {
-        self.dse = true;
+        self.spec.dse = true;
         self
     }
 
@@ -276,7 +354,7 @@ impl<'f> Pipeline<'f> {
     /// uniform offset shift) become shifted reads of the earlier result.
     /// Off at every paper level (`+rce` level suffix in `zlc`).
     pub fn with_rce(mut self) -> Self {
-        self.rce = true;
+        self.spec.rce = true;
         self
     }
 
@@ -289,7 +367,7 @@ impl<'f> Pipeline<'f> {
     /// the translation validator ([`PassId::VerifyRce2`]). Off at every
     /// paper level (`+rce2` level suffix in `zlc`).
     pub fn with_rce2(mut self) -> Self {
-        self.rce2 = true;
+        self.spec.rce2 = true;
         self
     }
 
@@ -350,16 +428,17 @@ impl<'f> Pipeline<'f> {
     /// executes it over a [`CompileSession`] under the instrumented
     /// [`PassManager`], and packages the result.
     pub fn optimize(&self, program: &Program) -> Optimized {
-        let mut session =
-            CompileSession::new(program, self.level, self.base_opts.clone(), self.verify);
+        let mut session = CompileSession::new(
+            program,
+            self.spec.level,
+            self.base_opts.clone(),
+            self.verify,
+        );
         if let Some(f) = &self.forbid {
             session.forbid = Some(&**f);
         }
         let mut manager = PassManager::new(pass::build_sequence(
-            self.level,
-            self.dse,
-            self.rce,
-            self.rce2,
+            self.spec,
             self.dimension_contraction,
             self.spatial_cap,
         ));

@@ -5,15 +5,16 @@
 //! plumbed a dozen individual flags, the [`Supervisor`] had its own
 //! builder knobs, and the simulated runtime's `ExecConfig` repeated the
 //! engine/threads/limits triple a third time. `RunRequest` is the single
-//! builder-style value all of them now consume — the level (with the
-//! `+dse`/`+rce`/`+rce2` cleanup suffixes), the engine, the worker-thread count,
+//! builder-style value all of them now consume — the level spec
+//! ([`PassSpec`]: the level plus the `+dse`/`+rce`/`+rce2` cleanup
+//! suffixes), the engine preset, the worker-thread and lane counts,
 //! verification, resource budgets, and config-variable overrides — with
 //! adapters producing whichever downstream form a caller needs:
 //! [`RunRequest::pipeline`], [`RunRequest::supervisor`],
 //! [`RunRequest::exec_opts`], [`RunRequest::limits`], and
 //! [`RunRequest::binding_for`]. The serving path
 //! ([`mod@crate::serve`], [`crate::cache`]) keys its compile cache on the
-//! request's `(level, dse, rce, rce2, engine, simd)` coordinates.
+//! request's spec and the engine's compiled form ([`loopir::Artifact`]).
 //!
 //! ```
 //! use fusion_core::request::RunRequest;
@@ -23,14 +24,14 @@
 //! let req = RunRequest::new()
 //!     .with_level_spec("c2+f3+dse")
 //!     .unwrap()
-//!     .with_engine(Engine::VmVerified)
+//!     .with_engine(Engine::VmPar)
 //!     .with_set("n", 32);
-//! assert_eq!(req.level, Level::C2F3);
-//! assert!(req.dse && !req.rce);
-//! assert_eq!(req.level_spec(), "c2+f3+dse");
+//! assert_eq!(req.spec.level, Level::C2F3);
+//! assert!(req.spec.dse && !req.spec.rce);
+//! assert_eq!(req.spec.to_string(), "c2+f3+dse");
 //! ```
 
-use crate::pipeline::{Level, Pipeline};
+use crate::pipeline::{Level, PassSpec, Pipeline};
 use crate::supervisor::{Budgets, Supervisor};
 use crate::verify::VerifyLevel;
 use loopir::{Engine, ExecLimits, ExecOpts};
@@ -44,22 +45,16 @@ use zlang::ir::{ConfigBinding, Program};
 /// by `zlc`, the [`Supervisor`], the compile cache, and the serve path.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRequest {
-    /// Optimization level (default [`Level::C2`], matching `zlc`).
-    pub level: Level,
-    /// Run the dead-statement-elimination cleanup pass (`+dse`).
-    pub dse: bool,
-    /// Run the redundant-computation-elimination cleanup pass (`+rce`).
-    pub rce: bool,
-    /// Run the stencil-aware, availability-driven redundancy pass
-    /// (`+rce2`), with its rewrites independently re-verified.
-    pub rce2: bool,
-    /// Execution engine (default [`Engine::Vm`]).
+    /// Level spec: the level plus cleanup passes (default `c2`, matching
+    /// `zlc`).
+    pub spec: PassSpec,
+    /// Execution engine preset (default [`Engine::Vm`]).
     pub engine: Engine,
-    /// Worker threads for [`Engine::VmPar`]; `0` = auto.
+    /// Worker threads for [`Engine::VmPar`]; `0` = auto. The other
+    /// presets run sequentially.
     pub threads: usize,
-    /// Unrolled f64 lanes for [`Engine::VmSimd`] / [`Engine::VmPar`]
-    /// innermost-loop dispatch; `0` = the engine default (4), `1` =
-    /// scalar dispatch over the same superinstruction bytecode.
+    /// Unrolled f64 lanes for the VM's innermost-loop dispatch; `0` = the
+    /// default (4), `1` = scalar dispatch over the same bytecode.
     pub lanes: usize,
     /// Run the translation validator and bytecode verifier, reporting
     /// diagnostics (`zlc --verify`). Does not change generated code, so
@@ -74,10 +69,7 @@ pub struct RunRequest {
 impl Default for RunRequest {
     fn default() -> Self {
         RunRequest {
-            level: Level::C2,
-            dse: false,
-            rce: false,
-            rce2: false,
+            spec: Level::C2.into(),
             engine: Engine::default(),
             threads: 0,
             lanes: 0,
@@ -97,62 +89,20 @@ impl RunRequest {
     /// Sets the optimization level (keeping any `+dse`/`+rce`/`+rce2`
     /// choices).
     pub fn with_level(mut self, level: Level) -> Self {
-        self.level = level;
+        self.spec.level = level;
         self
     }
 
-    /// Parses a level *spec*: a paper level name optionally followed by
-    /// `+dse` / `+rce` / `+rce2` suffixes in any order
-    /// (`"c2+f3+dse+rce2"`), the `zlc --level` grammar.
+    /// Parses a level spec in the `zlc --level` grammar
+    /// (`"c2+f3+dse+rce2"`); see [`PassSpec`].
     ///
     /// # Errors
     ///
     /// Returns a rustc-style message naming the valid levels when the
     /// base level is unknown.
     pub fn with_level_spec(mut self, spec: &str) -> Result<Self, String> {
-        let (mut base, mut dse, mut rce, mut rce2) = (spec, false, false, false);
-        loop {
-            // `+rce2` must be tried before `+rce`, which is its suffix.
-            if let Some(rest) = base.strip_suffix("+dse") {
-                base = rest;
-                dse = true;
-            } else if let Some(rest) = base.strip_suffix("+rce2") {
-                base = rest;
-                rce2 = true;
-            } else if let Some(rest) = base.strip_suffix("+rce") {
-                base = rest;
-                rce = true;
-            } else {
-                break;
-            }
-        }
-        let level = Level::all()
-            .into_iter()
-            .find(|l| l.name() == base)
-            .ok_or_else(|| {
-                format!(
-                    "unknown level `{spec}` (expected one of: {}; append `+dse`/`+rce`/`+rce2` \
-                     for the cleanup passes)",
-                    Level::all().map(|l| l.name()).join(", ")
-                )
-            })?;
-        self.level = level;
-        self.dse = dse;
-        self.rce = rce;
-        self.rce2 = rce2;
+        self.spec = spec.parse()?;
         Ok(self)
-    }
-
-    /// The level spec string this request round-trips to
-    /// (`"c2+f3+dse"`-style).
-    pub fn level_spec(&self) -> String {
-        format!(
-            "{}{}{}{}",
-            self.level.name(),
-            if self.dse { "+dse" } else { "" },
-            if self.rce { "+rce" } else { "" },
-            if self.rce2 { "+rce2" } else { "" },
-        )
     }
 
     /// Sets the execution engine.
@@ -179,8 +129,7 @@ impl RunRequest {
         self
     }
 
-    /// Sets the lane width for [`Engine::VmSimd`] / [`Engine::VmPar`]
-    /// (`0` = default, `1` = scalar dispatch).
+    /// Sets the VM lane width (`0` = default, `1` = scalar dispatch).
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         self.lanes = lanes;
         self
@@ -221,26 +170,17 @@ impl RunRequest {
     /// `zlc --emit`, `--dimension-contraction`) extend the returned
     /// builder further.
     pub fn pipeline(&self) -> Pipeline<'static> {
-        let mut p = Pipeline::new(self.level);
-        if self.dse {
-            p = p.with_dse();
-        }
-        if self.rce {
-            p = p.with_rce();
-        }
-        if self.rce2 {
-            p = p.with_rce2();
-        }
+        let mut p = Pipeline::new(self.spec);
         if self.verify {
             p = p.with_verify(VerifyLevel::Always);
         }
         p
     }
 
-    /// A fault-tolerant [`Supervisor`] at this request's level, engine,
-    /// budgets, threads, and bindings.
+    /// A fault-tolerant [`Supervisor`] at this request's spec, engine,
+    /// budgets, threads, lanes, and bindings.
     pub fn supervisor(&self) -> Supervisor<'static> {
-        let mut sup = Supervisor::new(self.level, self.engine)
+        let mut sup = Supervisor::new(self.spec, self.engine)
             .with_budgets(self.budgets)
             .with_threads(self.threads)
             .with_lanes(self.lanes);
@@ -250,12 +190,13 @@ impl RunRequest {
         sup
     }
 
-    /// The per-execution engine options.
+    /// The per-execution options, resolved through the engine's
+    /// [`preset`](Engine::preset).
     pub fn exec_opts(&self) -> ExecOpts {
-        ExecOpts {
+        self.engine.preset(ExecOpts {
             threads: self.threads,
             lanes: self.lanes,
-        }
+        })
     }
 
     /// The engine limits the budgets imply (the deadline is measured
@@ -283,7 +224,7 @@ impl RunRequest {
 
 impl fmt::Display for RunRequest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} on {}", self.level_spec(), self.engine)?;
+        write!(f, "{} on {}", self.spec, self.engine)?;
         if self.threads != 0 {
             write!(f, " x{}", self.threads)?;
         }
@@ -309,14 +250,17 @@ mod tests {
             "c2+dse+rce+rce2",
         ] {
             let req = RunRequest::new().with_level_spec(spec).unwrap();
-            assert_eq!(req.level_spec(), spec, "{spec}");
+            assert_eq!(req.spec.to_string(), spec, "{spec}");
         }
         // Suffixes parse in any order but render canonically.
         let req = RunRequest::new().with_level_spec("c2+rce+dse").unwrap();
-        assert_eq!(req.level_spec(), "c2+dse+rce");
+        assert_eq!(req.spec.to_string(), "c2+dse+rce");
         // `+rce2` is not mistaken for `+rce`.
         let req = RunRequest::new().with_level_spec("c2+rce2").unwrap();
-        assert!(req.rce2 && !req.rce);
+        assert!(req.spec.rce2 && !req.spec.rce);
+        // `with_level` keeps the suffixes.
+        let req = req.with_level(Level::C2F3);
+        assert_eq!(req.spec.to_string(), "c2+f3+rce2");
     }
 
     #[test]
@@ -375,5 +319,33 @@ mod tests {
         assert_eq!(run.outcome.checksum(), 6.0);
         let opt = req.pipeline().optimize(&zlang::compile(src).unwrap());
         assert_eq!(opt.level, Level::C2F3);
+    }
+
+    #[test]
+    fn engine_names_are_presets_over_exec_opts() {
+        let opts = |engine| {
+            RunRequest::new()
+                .with_engine(engine)
+                .with_threads(4)
+                .with_lanes(2)
+                .exec_opts()
+        };
+        for engine in [Engine::Vm, Engine::VmVerified, Engine::VmSimd] {
+            assert_eq!(
+                opts(engine),
+                ExecOpts {
+                    threads: 1,
+                    lanes: 2
+                },
+                "{engine}"
+            );
+        }
+        assert_eq!(
+            opts(Engine::VmPar),
+            ExecOpts {
+                threads: 4,
+                lanes: 2
+            }
+        );
     }
 }

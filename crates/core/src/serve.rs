@@ -50,7 +50,7 @@
 
 use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreakers};
 use crate::cache::{CacheStats, CompileCache};
-use crate::pipeline::Level;
+use crate::pipeline::PassSpec;
 use crate::request::RunRequest;
 use crate::supervisor::{quiet_catch, Cause, CauseKind, Stage};
 use loopir::Engine;
@@ -210,8 +210,8 @@ pub struct RequestRecord {
     pub name: String,
     /// Engine the request asked for.
     pub engine: Engine,
-    /// Level the request asked for.
-    pub level: Level,
+    /// Level spec the request asked for.
+    pub spec: PassSpec,
     /// Time from admission until a worker started serving the request
     /// (for shed requests: until the shed decision).
     pub queue_wait: Duration,
@@ -240,7 +240,7 @@ impl RequestRecord {
             index,
             name: req.name.clone(),
             engine: req.request.engine,
-            level: req.request.level,
+            spec: req.request.spec,
             queue_wait: Duration::ZERO,
             latency: Duration::ZERO,
             attempts: 0,
@@ -974,8 +974,10 @@ mod tests {
         assert_eq!(report.completed(), 32);
         assert_eq!(report.failed(), 0);
         assert_eq!(report.shed(), 0);
-        // 4 distinct (engine) keys; everything after the first misses hits.
-        assert!(report.cache.hits >= 24, "{:?}", report.cache);
+        // 2 distinct artifacts (interp, verified bytecode): every VM
+        // engine name shares one, so everything after two misses hits.
+        assert_eq!(report.cache.misses, 2, "{:?}", report.cache);
+        assert_eq!(report.cache.hits, 30, "{:?}", report.cache);
         assert!(report.cache.hit_rate() > 0.5, "{:?}", report.cache);
     }
 
@@ -1136,18 +1138,21 @@ mod tests {
             SRC,
             RunRequest::new().with_engine(Engine::Vm),
         )];
-        serve(&reqs, 1, &cache); // warm (c2,vm)
-        let warm_interp = vec![
-            ServeRequest::new("t", SRC, RunRequest::new().with_engine(Engine::Interp)),
-            ServeRequest::new(
-                "t",
-                SRC,
-                RunRequest::new()
-                    .with_engine(Engine::Interp)
-                    .with_level(Level::Baseline),
-            ),
-        ];
-        serve(&warm_interp, 1, &cache);
+        // A rejected proof publishes only the checked artifact, so warm
+        // that rung before the verified one.
+        let reject =
+            ServeOptions::new().with_faults(FaultPlan::new(14).with(FaultSite::VerifyReject, 1.0));
+        serve_with(&reqs, &reject, &cache); // warm (c2, checked)
+        serve(&reqs, 1, &cache); // warm (c2, verified)
+        let warm_reference = vec![ServeRequest::new(
+            "t",
+            SRC,
+            RunRequest::new()
+                .with_engine(Engine::Interp)
+                .with_level(crate::Level::Baseline),
+        )];
+        serve(&warm_reference, 1, &cache);
+        assert_eq!(cache.len(), 3);
 
         let opts = ServeOptions::new()
             .with_workers(1)

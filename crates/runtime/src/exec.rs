@@ -8,7 +8,7 @@
 
 use crate::comm::{CommPolicy, CommStats, CommTracker};
 use loopir::{
-    Engine, ExecError, ExecLimits, ExecOpts, LoopNest, Observer, RunStats, ScalarProgram,
+    Engine, ExecError, ExecLimits, ExecOpts, Executor, LoopNest, Observer, RunStats, ScalarProgram,
 };
 use machine::presets::Machine;
 use machine::sim::{MemSim, MemStats};
@@ -196,6 +196,27 @@ pub fn simulate_outcome(
     binding: ConfigBinding,
     cfg: &ExecConfig,
 ) -> Result<(loopir::RunOutcome, SimResult), ExecError> {
+    let mut exec =
+        cfg.engine
+            .executor_with(sp, binding.clone(), ExecOpts::with_threads(cfg.threads))?;
+    exec.set_limits(cfg.limits);
+    simulate_executor(exec.as_mut(), sp, binding, cfg)
+}
+
+/// Like [`simulate_outcome`], but runs an executor the caller already
+/// built for `sp` (with its limits installed) — the supervisor's path,
+/// where each ladder rung supplies its own compiled form. `cfg.engine`,
+/// `cfg.threads`, and `cfg.limits` are not consulted.
+///
+/// # Errors
+///
+/// Same as [`simulate`].
+pub fn simulate_executor(
+    exec: &mut dyn Executor,
+    sp: &ScalarProgram,
+    binding: ConfigBinding,
+    cfg: &ExecConfig,
+) -> Result<(loopir::RunOutcome, SimResult), ExecError> {
     let mut obs = SimObserver {
         mem: MemSim::new(cfg.machine.l1, cfg.machine.l2),
         comm: CommTracker::new(cfg.procs, cfg.machine.cost, cfg.policy),
@@ -204,10 +225,6 @@ pub fn simulate_outcome(
         binding: &binding,
         last: MemStats::default(),
     };
-    let mut exec =
-        cfg.engine
-            .executor_with(sp, binding.clone(), ExecOpts::with_threads(cfg.threads))?;
-    exec.set_limits(cfg.limits);
     let outcome = exec.execute(&mut obs)?;
     let run = outcome.stats;
     obs.flush_compute();

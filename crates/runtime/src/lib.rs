@@ -26,5 +26,5 @@ pub mod exec;
 pub mod grid;
 
 pub use comm::{CommPolicy, CommStats};
-pub use exec::{simulate, simulate_outcome, ExecConfig, SimResult};
+pub use exec::{simulate, simulate_executor, simulate_outcome, ExecConfig, SimResult};
 pub use grid::Grid;

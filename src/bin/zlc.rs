@@ -19,9 +19,8 @@
 //!                                 print (repeatable); `avail` dumps the
 //!                                 offset-lattice availability facts;
 //!                                 `bytecode` disassembles the compiled VM
-//!                                 program for the selected engine (the
-//!                                 superinstruction/lane form under
-//!                                 `--engine vm-simd` or `vm-par`)
+//!                                 program (one superinstruction/lane form
+//!                                 for every engine)
 //!   --emit <pass>                 dump the IR snapshot taken right after
 //!                                 the named pass (e.g. `normalize`, `dse`,
 //!                                 `rce2`, `fuse-contraction`, `contract`,
@@ -30,19 +29,19 @@
 //!   --verify                      re-check every pipeline stage and the
 //!                                 compiled bytecode; report diagnostics
 //!   --run                         execute and print scalars + statistics
-//!   --engine <interp|vm|vm-verified|vm-simd|vm-par>   execution engine
-//!                                 (default vm)
+//!   --engine <interp|vm|vm-par>   execution engine (default vm; the
+//!                                 aliases vm-verified and vm-simd mean vm)
 //!   --list-engines                list the execution engines and exit
 //!   --threads <n>                 worker threads for --engine vm-par
 //!                                 (default 0 = auto)
-//!   --lanes <n>                   unrolled f64 lanes for --engine vm-simd
-//!                                 and vm-par (default 0 = engine default
-//!                                 of 4; 1 = scalar dispatch)
+//!   --lanes <n>                   unrolled f64 lanes for the VM engines
+//!                                 (default 0 = 4; 1 = scalar dispatch)
 //!   --machine <t3e|sp2|paragon>   simulate on a machine model (with --run)
 //!   --procs <p>                   simulated processors (default 1)
 //!   --set <name=value>            override an integer config (repeatable)
 //!   --supervise                   run under the fault-tolerant supervisor
-//!                                 (degrades engine/level on faults)
+//!                                 (degrades to checked bytecode, then the
+//!                                 baseline interpreter, on faults)
 //!   --deadline-ms <n>             wall-clock budget per supervised attempt
 //!   --fuel <n>                    instruction budget per supervised attempt
 //!   --inject <plan>               install a deterministic fault plan, e.g.
@@ -74,7 +73,7 @@ use fusion_core::verify::Severity;
 use fusion_core::{CompileCache, RunRequest};
 use loopir::{Engine, Vm};
 use machine::presets::MachineKind;
-use runtime::{simulate, simulate_outcome, ExecConfig, SimResult};
+use runtime::{simulate, simulate_executor, ExecConfig, SimResult};
 use std::cell::RefCell;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -111,7 +110,7 @@ fn usage(msg: &str) -> ExitCode {
         "usage: zlc <file.zl> [--level L[+dse][+rce][+rce2]] [--dimension-contraction]\n\
          \x20          [--spatial-cap K] [--favor-comm]\n\
          \x20          [--print ir|loops|bytecode|asdg|avail|report|source|hash]... [--emit PASS]\n\
-         \x20          [--verify] [--run] [--engine interp|vm|vm-verified|vm-simd|vm-par]\n\
+         \x20          [--verify] [--run] [--engine interp|vm|vm-par]\n\
          \x20          [--threads N] [--lanes N]\n\
          \x20          [--machine t3e|sp2|paragon] [--procs P] [--set name=value]...\n\
          \x20          [--supervise] [--deadline-ms N] [--fuel N] [--inject PLAN]\n\
@@ -328,15 +327,11 @@ fn run_supervised(opts: &Options, program: &Program) -> ExitCode {
     let last_sim_ref = &last_sim;
     let mut sup = opts.request.supervisor();
     if let Some(machine) = opts.machine.map(|k| k.machine()) {
-        let procs = opts.procs;
-        let request = opts.request.clone();
-        sup = sup.with_sim(move |sp, binding, engine, limits| {
-            // The ladder may have degraded below the requested rung, so
-            // the per-attempt engine and limits override the request's.
-            let cfg = ExecConfig::from_request(&request, machine.clone(), procs)
-                .with_engine(engine)
-                .with_limits(limits);
-            let (outcome, sim) = simulate_outcome(sp, binding.clone(), &cfg)?;
+        // Each rung hands over its own executor, so only the machine model
+        // comes from the configuration.
+        let cfg = ExecConfig::from_request(&opts.request, machine, opts.procs);
+        sup = sup.with_sim(move |sp, binding, exec| {
+            let (outcome, sim) = simulate_executor(exec, sp, binding.clone(), &cfg)?;
             *last_sim_ref.borrow_mut() = Some(sim);
             Ok(outcome)
         });
@@ -442,8 +437,13 @@ fn run_serve(opts: &Options) -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--list-engines") {
-        for engine in Engine::all() {
+        let (names, aliases): (Vec<Engine>, Vec<Engine>) =
+            Engine::all().into_iter().partition(|e| e.canonical() == *e);
+        for engine in names {
             println!("{engine}");
+        }
+        for alias in aliases {
+            println!("{alias} (alias of {})", alias.canonical());
         }
         return ExitCode::SUCCESS;
     }
@@ -477,10 +477,12 @@ fn main() -> ExitCode {
     };
 
     // Validate config overrides against the source program up front, so
-    // every later stage works with a known-sane binding.
-    if let Err(msg) = checked_binding(&program, &opts.request.sets) {
-        return fail("config", &msg, Some(&opts.file));
-    }
+    // every later stage works with a known-sane binding (optimization
+    // never adds config variables, so it binds the optimized program too).
+    let binding = match checked_binding(&program, &opts.request.sets) {
+        Ok(b) => b,
+        Err(msg) => return fail("config", &msg, Some(&opts.file)),
+    };
 
     let _fault_guard = match &opts.inject {
         None => None,
@@ -515,10 +517,7 @@ fn main() -> ExitCode {
             None => {
                 return fail(
                     "emit",
-                    &format!(
-                        "pass `{pass}` did not run at level {}",
-                        opts.request.level_spec(),
-                    ),
+                    &format!("pass `{pass}` did not run at level {}", opts.request.spec,),
                     Some(&opts.file),
                 );
             }
@@ -526,10 +525,6 @@ fn main() -> ExitCode {
     }
 
     if opts.request.verify {
-        let binding = match checked_binding(&opt.scalarized.program, &opts.request.sets) {
-            Ok(b) => b,
-            Err(msg) => return fail("config", &msg, Some(&opts.file)),
-        };
         let mut errors = 0usize;
         let mut warnings = 0usize;
         for d in &opt.diagnostics {
@@ -539,7 +534,7 @@ fn main() -> ExitCode {
                 Severity::Warning => warnings += 1,
             }
         }
-        match Vm::new(&opt.scalarized, binding) {
+        match Vm::new(&opt.scalarized, binding.clone()) {
             Ok(mut vm) => {
                 if let Err(diags) = vm.verify() {
                     for d in &diags {
@@ -556,13 +551,13 @@ fn main() -> ExitCode {
         if errors > 0 {
             eprintln!(
                 "zlc: verify: {errors} error(s), {warnings} warning(s) at level {}",
-                opts.request.level_spec()
+                opts.request.spec
             );
             return ExitCode::FAILURE;
         }
         println!(
             "verify: ok (pipeline stages and bytecode at level {}{})",
-            opts.request.level_spec(),
+            opts.request.spec,
             if warnings > 0 {
                 format!("; {warnings} warning(s)")
             } else {
@@ -579,24 +574,12 @@ fn main() -> ExitCode {
             // (binding-independent; see fusion_core::hash).
             "hash" => println!("{:016x}", fusion_core::hash::program_hash(&program)),
             "loops" => print!("{}", loopir::printer::print(&opt.scalarized)),
-            // The compiled bytecode for the selected engine: plain ops
-            // for interp/vm/vm-verified, the superinstruction + lane
-            // annotation form for vm-simd/vm-par.
-            "bytecode" => {
-                let binding = match checked_binding(&opt.scalarized.program, &opts.request.sets) {
-                    Ok(b) => b,
-                    Err(msg) => return fail("config", &msg, Some(&opts.file)),
-                };
-                let vm = if matches!(opts.request.engine, Engine::VmSimd | Engine::VmPar) {
-                    Vm::new_superfused(&opt.scalarized, binding)
-                } else {
-                    Vm::new(&opt.scalarized, binding)
-                };
-                match vm {
-                    Ok(vm) => print!("{}", vm.disasm()),
-                    Err(e) => return fail("compile", &e.to_string(), Some(&opts.file)),
-                }
-            }
+            // The compiled bytecode: one superinstruction + lane
+            // annotation form, whichever engine runs it.
+            "bytecode" => match Vm::new(&opt.scalarized, binding.clone()) {
+                Ok(vm) => print!("{}", vm.disasm()),
+                Err(e) => return fail("compile", &e.to_string(), Some(&opts.file)),
+            },
             // The offset-lattice availability facts the +rce2 pass
             // consumes, computed fresh over the normalized program.
             "avail" => print!(
@@ -637,10 +620,6 @@ fn main() -> ExitCode {
     }
 
     if opts.run {
-        let binding = match checked_binding(&opt.scalarized.program, &opts.request.sets) {
-            Ok(b) => b,
-            Err(msg) => return fail("config", &msg, Some(&opts.file)),
-        };
         match opts.machine {
             None => {
                 let outcome = opts

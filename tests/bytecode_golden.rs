@@ -1,6 +1,6 @@
-//! Golden `--print bytecode` snapshots: the superinstruction/lane form of
-//! the compiled bytecode for selected paper benchmarks at `c2+f3` is
-//! pinned under `tests/golden/`. Any change to the bytecode compiler, the
+//! Golden `--print bytecode` snapshots: the one superinstruction/lane
+//! form of the compiled bytecode for selected paper benchmarks at `c2+f3`
+//! is pinned under `tests/golden/`. Any change to the bytecode compiler, the
 //! superinstruction peephole, the lane vectorizer, or the disassembler
 //! shows up as a readable diff here instead of a silent ISA change.
 //!
@@ -8,15 +8,23 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
 fn disasm(name: &str, source: &str, engine: &str) -> String {
+    // One source file per invocation: tests run in parallel, and a shared
+    // name would let one `zlc` read a file another test just truncated.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("zlc-bytecode-golden");
     std::fs::create_dir_all(&dir).unwrap();
-    let src = dir.join(format!("{name}.zl"));
+    let src = dir.join(format!(
+        "{name}-{}-{}.zl",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(&src, source).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_zlc"))
         .args([
@@ -35,6 +43,7 @@ fn disasm(name: &str, source: &str, engine: &str) -> String {
         "{name}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    std::fs::remove_file(&src).unwrap();
     String::from_utf8(out.stdout).expect("utf-8 snapshot")
 }
 
@@ -49,7 +58,7 @@ fn superfused_bytecode_matches_golden_files() {
     let bless = std::env::var_os("ZLC_BLESS").is_some();
     for name in PINNED {
         let bench = zpl_fusion::workloads::by_name(name).unwrap();
-        let got = disasm(bench.name, bench.source, "vm-simd");
+        let got = disasm(bench.name, bench.source, "vm");
         let path = golden_dir().join(format!("{name}.c2f3.bytecode.txt"));
         if bless {
             std::fs::write(&path, &got).unwrap();
@@ -65,32 +74,21 @@ fn superfused_bytecode_matches_golden_files() {
 }
 
 #[test]
-fn scalar_and_superfused_streams_differ_only_in_encoding() {
-    // The plain `vm` disassembly of `simple` must contain no
-    // superinstructions, and the `vm-simd` one must contain at least one
-    // superinstruction and one simd annotation — the two tiers really are
-    // two encodings of the same program.
-    let bench = zpl_fusion::workloads::by_name("simple").unwrap();
-    let plain = disasm(bench.name, bench.source, "vm");
-    let fused = disasm(bench.name, bench.source, "vm-simd");
-    for mnemonic in ["ld.ld.bin", "ld.bin", "bin.bin", "bin.st", "ld.st"] {
-        assert!(
-            !plain.contains(mnemonic),
-            "plain bytecode contains superinstruction `{mnemonic}`:\n{plain}"
-        );
+fn every_vm_engine_prints_the_same_pinned_bytecode() {
+    // There is one bytecode form: every VM engine name (aliases included)
+    // compiles the same superinstruction stream with the same lane
+    // annotations, byte for byte the pinned snapshot.
+    for name in PINNED {
+        let bench = zpl_fusion::workloads::by_name(name).unwrap();
+        let path = golden_dir().join(format!("{name}.c2f3.bytecode.txt"));
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{name}: missing golden file {path:?}: {e}"));
+        for engine in ["vm", "vm-verified", "vm-simd", "vm-par"] {
+            let got = disasm(bench.name, bench.source, engine);
+            assert_eq!(
+                got, want,
+                "{name}: `--engine {engine}` differs from {path:?}"
+            );
+        }
     }
-    assert!(
-        plain.contains("0 simd loops"),
-        "plain bytecode carries simd annotations:\n{plain}"
-    );
-    assert!(
-        fused.contains("simd s0:"),
-        "superfused bytecode has no simd annotation:\n{fused}"
-    );
-    assert!(
-        ["ld.ld.bin", "ld.bin", "bin.bin", "bin.st", "ld.st"]
-            .iter()
-            .any(|m| fused.contains(m)),
-        "superfused bytecode has no superinstructions:\n{fused}"
-    );
 }

@@ -3,19 +3,23 @@
 //! Every generated program is run twice: once plainly at `baseline` on the
 //! interpreter (the O0 reference), and once under the supervisor at
 //! `c2+f3` on the verified VM with a fault injected somewhere in the
-//! pipeline. Whatever the supervisor has to do to survive — degrade the
-//! engine, recompile at a lower level, drop the machine simulation, fall
-//! all the way to the reference rung — the answer it hands back must be
-//! the bit-identical checksum of the unoptimized interpreter.
+//! pipeline. Whatever the supervisor has to do to survive — fall back to
+//! checked bytecode, recompile at the baseline on the interpreter, drop
+//! the machine simulation — the answer it hands back must be the
+//! bit-identical checksum of the unoptimized interpreter. Requested
+//! configurations rotate over the distinct (threads, lanes) presets.
 //!
 //! The seed comes from `CHAOS_SEED` (default 1) so CI can rotate schedules
 //! without touching the source.
 
+mod common;
+
+use common::Config;
 use fusion_core::pipeline::{Level, Pipeline};
 use fusion_core::supervisor::{Budgets, Supervisor};
-use loopir::{Engine, NoopObserver};
+use loopir::{Artifact, Engine, NoopObserver};
 use machine::presets::MachineKind;
-use runtime::{simulate_outcome, CommPolicy, ExecConfig};
+use runtime::{simulate_executor, ExecConfig};
 use std::time::Duration;
 use testkit::faults::{self, FaultPlan, FaultSite};
 use testkit::{genprog, Rng};
@@ -50,6 +54,30 @@ const CLASSES: [FaultClass; 7] = [
     FaultClass::Deadline,
 ];
 
+/// The distinct requested bytecode configurations: `vm` at lanes 1/2/8
+/// and `vm-par` at threads 1/2/4 × lanes 1/8.
+fn vm_configs() -> Vec<Config> {
+    common::configs()
+        .into_iter()
+        .filter(|c| c.engine != Engine::Interp)
+        .collect()
+}
+
+/// A supervisor at `c2+f3` requesting `config`.
+fn requesting(config: Config) -> Supervisor<'static> {
+    config.request().with_level(Level::C2F3).supervisor()
+}
+
+/// Attaches the T3E machine-simulation backend (the only path that
+/// exercises the ghost message channel) to a supervisor.
+fn simulated(sup: Supervisor<'static>) -> Supervisor<'static> {
+    let mut cfg = ExecConfig::serial(MachineKind::T3e.machine());
+    cfg.procs = 16;
+    sup.with_sim(move |sp, binding, exec| {
+        simulate_executor(exec, sp, binding.clone(), &cfg).map(|(outcome, _)| outcome)
+    })
+}
+
 /// The two checksum scalars every generated program declares first.
 fn checksums(outcome: &loopir::RunOutcome) -> (u64, u64) {
     (
@@ -70,11 +98,10 @@ fn reference(program: &Program) -> (u64, u64) {
     checksums(&outcome)
 }
 
-/// A supervisor requesting the most aggressive configuration, so a fault
-/// has the whole ladder to fall down. Comm fault classes attach the
-/// machine-simulation backend (the only path that exercises the ghost
-/// message channel).
-fn supervised(program: &Program, class: FaultClass) -> fusion_core::Supervised {
+/// A supervisor requesting an optimized configuration, so a fault has the
+/// whole ladder to fall down. Comm fault classes attach the
+/// machine-simulation backend.
+fn supervised(program: &Program, class: FaultClass, config: Config) -> fusion_core::Supervised {
     let budgets = match class {
         FaultClass::Fuel => Budgets {
             fuel: Some(0),
@@ -86,35 +113,24 @@ fn supervised(program: &Program, class: FaultClass) -> fusion_core::Supervised {
         },
         FaultClass::Inject(_) => Budgets::none(),
     };
-    let mut sup = Supervisor::new(Level::C2F3, Engine::VmVerified).with_budgets(budgets);
+    let mut sup = requesting(config).with_budgets(budgets);
     if matches!(
         class,
         FaultClass::Inject(FaultSite::CommDrop) | FaultClass::Inject(FaultSite::CommDup)
     ) {
-        let machine = MachineKind::T3e.machine();
-        sup = sup.with_sim(move |sp, binding, engine, limits| {
-            let cfg = ExecConfig {
-                machine: machine.clone(),
-                procs: 16,
-                policy: CommPolicy::default(),
-                engine,
-                threads: 0,
-                limits,
-            };
-            simulate_outcome(sp, binding.clone(), &cfg).map(|(outcome, _)| outcome)
-        });
+        sup = simulated(sup);
     }
     sup.run_program(program)
         .unwrap_or_else(|e| panic!("supervisor must survive {class:?}:\n{}", e.report.render()))
 }
 
-fn run_class(program: &Program, source: &str, class: FaultClass, want: (u64, u64)) {
+fn run_class(program: &Program, source: &str, class: FaultClass, config: Config, want: (u64, u64)) {
     let plan = match class {
         FaultClass::Inject(site) => FaultPlan::new(chaos_seed()).with(site, 1.0),
         _ => FaultPlan::new(chaos_seed()),
     };
     let _guard = faults::install(plan);
-    let run = supervised(program, class);
+    let run = supervised(program, class, config);
     let fired = faults::fired();
     drop(_guard);
 
@@ -142,6 +158,16 @@ fn run_class(program: &Program, source: &str, class: FaultClass, want: (u64, u64
                 run.report.render()
             );
             assert!(run.report.degraded(), "{}", run.report.render());
+            // A rejected proof lands on the checked rung at the same spec;
+            // a trap (which the checked rung re-executes) and a pipeline
+            // panic land on the reference interpreter.
+            let want = if site == FaultSite::VerifyReject {
+                Artifact::Checked
+            } else {
+                Artifact::Interp
+            };
+            assert_eq!(run.report.final_artifact, want, "{}", run.report.render());
+            assert!(run.report.attempts.len() <= 3, "{}", run.report.render());
         }
         // A permanently dropped exchange surfaces as a comm failure and a
         // sim-disabled retry of the same rung — if any exchange happened.
@@ -164,13 +190,13 @@ fn run_class(program: &Program, source: &str, class: FaultClass, want: (u64, u64
         // unbudgeted reference survives.
         FaultClass::Fuel => {
             assert!(run.report.mentions("fuel"), "{}", run.report.render());
-            assert_eq!(run.report.final_level, Level::Baseline);
-            assert_eq!(run.report.final_engine, Engine::Interp);
+            assert_eq!(run.report.final_spec, Level::Baseline.into());
+            assert_eq!(run.report.final_artifact, Artifact::Interp);
         }
         FaultClass::Deadline => {
             assert!(run.report.mentions("deadline"), "{}", run.report.render());
-            assert_eq!(run.report.final_level, Level::Baseline);
-            assert_eq!(run.report.final_engine, Engine::Interp);
+            assert_eq!(run.report.final_spec, Level::Baseline.into());
+            assert_eq!(run.report.final_artifact, Artifact::Interp);
         }
         // Serving-layer sites are exercised by tests/chaos_serve.rs; they
         // never appear in this suite's CLASSES.
@@ -181,8 +207,9 @@ fn run_class(program: &Program, source: &str, class: FaultClass, want: (u64, u64
 }
 
 /// The tentpole assertion: 210 generated programs, each through the
-/// supervisor with a fault from one of the seven classes, every answer
-/// bit-identical to the O0 interpreter.
+/// supervisor with a fault from one of the seven classes under one of the
+/// requested configurations, every answer bit-identical to the O0
+/// interpreter.
 #[test]
 fn injected_faults_never_change_the_answer() {
     let mut rng = Rng::new(chaos_seed());
@@ -192,13 +219,15 @@ fn injected_faults_never_change_the_answer() {
             .unwrap_or_else(|e| panic!("generated program {i} must compile: {e}\n{source}"));
         let want = reference(&program);
         let class = CLASSES[i % CLASSES.len()];
-        run_class(&program, &source, class, want);
+        let configs = vm_configs();
+        let config = configs[(i / CLASSES.len()) % configs.len()];
+        run_class(&program, &source, class, config, want);
     }
 }
 
-/// Sanity anchor for the differential: with no faults injected, the
-/// supervised aggressive configuration already matches the reference and
-/// reports a clean single attempt.
+/// Sanity anchor for the differential: with no faults injected, every
+/// requested configuration already matches the reference and reports a
+/// clean single attempt.
 #[test]
 fn clean_supervised_runs_match_the_reference() {
     let mut rng = Rng::new(chaos_seed().wrapping_add(0x9E37));
@@ -207,18 +236,25 @@ fn clean_supervised_runs_match_the_reference() {
         let program = zlang::compile(&source)
             .unwrap_or_else(|e| panic!("generated program {i} must compile: {e}\n{source}"));
         let want = reference(&program);
-        let run = Supervisor::new(Level::C2F3, Engine::VmVerified)
+        let configs = vm_configs();
+        let config = configs[i % configs.len()];
+        let run = requesting(config)
             .run_program(&program)
             .expect("clean run succeeds");
-        assert_eq!(checksums(&run.outcome), want, "program {i}:\n{source}");
+        assert_eq!(
+            checksums(&run.outcome),
+            want,
+            "program {i}, {config:?}:\n{source}"
+        );
         assert!(!run.report.degraded(), "{}", run.report.render());
         assert_eq!(run.report.attempts.len(), 1);
     }
 }
 
-/// The parallel tiled engine under supervision: clean runs at 1/2/4
-/// worker threads must land on `vm-par` undegraded with the reference
-/// checksum — the thread count must never leak into the answer.
+/// The parallel tiled preset under supervision: clean runs at 1/2/4
+/// worker threads and lanes 1/8 must land on the requested rung
+/// undegraded with the reference checksum — neither knob may leak into
+/// the answer.
 #[test]
 fn vm_par_clean_runs_match_the_reference_at_every_thread_count() {
     let mut rng = Rng::new(chaos_seed().wrapping_add(0x7A12));
@@ -227,18 +263,20 @@ fn vm_par_clean_runs_match_the_reference_at_every_thread_count() {
         let program = zlang::compile(&source)
             .unwrap_or_else(|e| panic!("generated program {i} must compile: {e}\n{source}"));
         let want = reference(&program);
-        for threads in [1usize, 2, 4] {
-            let run = Supervisor::new(Level::C2F3, Engine::VmPar)
-                .with_threads(threads)
+        for config in vm_configs()
+            .into_iter()
+            .filter(|c| c.engine == Engine::VmPar)
+        {
+            let run = requesting(config)
                 .run_program(&program)
                 .expect("clean vm-par run succeeds");
             assert_eq!(
                 checksums(&run.outcome),
                 want,
-                "program {i}, {threads} threads:\n{source}"
+                "program {i}, {config:?}:\n{source}"
             );
             assert!(!run.report.degraded(), "{}", run.report.render());
-            assert_eq!(run.report.final_engine, Engine::VmPar);
+            assert_eq!(run.report.final_artifact, Artifact::Verified);
         }
     }
 }
@@ -263,21 +301,13 @@ fn vm_par_survives_injected_faults_at_every_thread_count() {
                 .unwrap_or_else(|e| panic!("generated program {i} must compile: {e}\n{source}"));
             let want = reference(&program);
             let _guard = faults::install(FaultPlan::new(chaos_seed()).with(site, 1.0));
-            let mut sup = Supervisor::new(Level::C2F3, Engine::VmPar).with_threads(threads);
+            let mut sup = requesting(Config {
+                engine: Engine::VmPar,
+                threads,
+                lanes: 0,
+            });
             if site == FaultSite::CommDrop {
-                let machine = MachineKind::T3e.machine();
-                let t = threads;
-                sup = sup.with_sim(move |sp, binding, engine, limits| {
-                    let cfg = ExecConfig {
-                        machine: machine.clone(),
-                        procs: 16,
-                        policy: CommPolicy::default(),
-                        engine,
-                        threads: t,
-                        limits,
-                    };
-                    simulate_outcome(sp, binding.clone(), &cfg).map(|(outcome, _)| outcome)
-                });
+                sup = simulated(sup);
             }
             let run = sup.run_program(&program).unwrap_or_else(|e| {
                 panic!(
@@ -311,7 +341,7 @@ fn stacked_faults_still_produce_the_reference_answer() {
             .with(FaultSite::VerifyReject, 1.0)
             .with(FaultSite::VmTrap, 1.0);
         let _guard = faults::install(plan);
-        let run = Supervisor::new(Level::C2F3, Engine::VmVerified)
+        let run = Supervisor::new(Level::C2F3, Engine::Vm)
             .run_program(&program)
             .unwrap_or_else(|e| panic!("ladder must bottom out:\n{}", e.report.render()));
         drop(_guard);
@@ -322,6 +352,7 @@ fn stacked_faults_still_produce_the_reference_answer() {
             run.report.render()
         );
         assert!(run.report.mentions("vm-trap"), "{}", run.report.render());
-        assert_eq!(run.report.final_engine, Engine::Interp);
+        assert_eq!(run.report.final_artifact, Artifact::Interp);
+        assert_eq!(run.report.attempts.len(), 3, "{}", run.report.render());
     }
 }

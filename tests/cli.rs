@@ -207,6 +207,41 @@ fn supervised_run_with_injected_trap_degrades_and_succeeds() {
 }
 
 #[test]
+fn supervised_run_keeps_level_suffixes() {
+    // The supervisor compiles at the full level spec: `+rce2` changes
+    // SP's executed work, so the supervised counters must match the
+    // unsupervised ones, not plain `c2+f3`'s.
+    let dir = std::env::temp_dir().join("zlc-cli-tests");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("sp-suffixes-{}.zl", std::process::id()));
+    std::fs::write(&path, zpl_fusion::workloads::by_name("sp").unwrap().source).unwrap();
+    let stats = |level: &str, supervise: bool| {
+        let mut args = vec![
+            path.to_str().unwrap(),
+            "--level",
+            level,
+            "--run",
+            "--set",
+            "n=8",
+        ];
+        if supervise {
+            args.push("--supervise");
+        }
+        let (stdout, stderr, ok) = zlc(&args);
+        assert!(ok, "{stderr}");
+        stdout
+            .lines()
+            .find(|l| l.starts_with("-- "))
+            .expect("stats line")
+            .to_string()
+    };
+    let direct = stats("c2+f3+rce2", false);
+    assert_ne!(direct, stats("c2+f3", false));
+    assert_eq!(stats("c2+f3+rce2", true), direct);
+    std::fs::remove_file(&path).unwrap();
+}
+
+#[test]
 fn supervised_zero_fuel_still_produces_the_answer() {
     let (stdout, stderr, ok) = zlc(&[
         &program_path("heat.zl"),
@@ -325,12 +360,19 @@ fn print_hash_is_stable_across_print_reparse() {
 fn list_engines_names_every_engine() {
     let (stdout, _, ok) = zlc(&["--list-engines"]);
     assert!(ok);
-    for engine in ["interp", "vm", "vm-verified", "vm-par"] {
+    for engine in [
+        "interp",
+        "vm",
+        "vm-par",
+        "vm-verified (alias of vm)",
+        "vm-simd (alias of vm)",
+    ] {
         assert!(
             stdout.lines().any(|l| l == engine),
             "missing {engine}: {stdout}"
         );
     }
+    assert_eq!(stdout.lines().count(), 5, "{stdout}");
 }
 
 #[test]

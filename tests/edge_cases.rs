@@ -91,10 +91,13 @@ fn out_of_region_access_is_reported_not_crashed() {
     )
     .unwrap();
     let opt = Pipeline::new(Level::Baseline).optimize(&p);
+    let binding = ConfigBinding::defaults(&opt.scalarized.program);
+    let want = execute(&opt, binding.clone(), Engine::Interp).unwrap_err();
+    assert!(want.message.contains("halo"), "{want}");
+    // The verified VM keeps the runtime halo checks: same error, same text.
     for engine in Engine::all() {
-        let binding = ConfigBinding::defaults(&opt.scalarized.program);
-        let err = execute(&opt, binding, engine).unwrap_err();
-        assert!(err.message.contains("halo"), "{engine}: {err}");
+        let err = execute(&opt, binding.clone(), engine).unwrap_err();
+        assert_eq!(err, want, "{engine}");
     }
 }
 

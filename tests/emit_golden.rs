@@ -7,15 +7,23 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
 
 fn emit(name: &str, source: &str, level: &str, pass: &str) -> String {
+    // One source file per invocation: tests run in parallel, and a shared
+    // name would let one `zlc` read a file another test just truncated.
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join("zlc-emit-golden");
     std::fs::create_dir_all(&dir).unwrap();
-    let src = dir.join(format!("{name}.zl"));
+    let src = dir.join(format!(
+        "{name}-{}-{}.zl",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::write(&src, source).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_zlc"))
         .args([src.to_str().unwrap(), "--level", level, "--emit", pass])
@@ -26,6 +34,7 @@ fn emit(name: &str, source: &str, level: &str, pass: &str) -> String {
         "{name}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    std::fs::remove_file(&src).unwrap();
     String::from_utf8(out.stdout).expect("utf-8 snapshot")
 }
 

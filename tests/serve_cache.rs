@@ -1,10 +1,25 @@
 //! Integration tests for the serving path: the content-addressed compile
 //! cache, its supervisor integration, and concurrent batch replay.
 
+mod common;
+
 use fusion_core::serve::{serve, ServeRequest};
 use fusion_core::{CacheKey, CompileCache, Level, RunRequest};
-use loopir::Engine;
+use loopir::{Engine, RunOutcome};
 use std::sync::Arc;
+
+/// Every distinct configuration as a request. Every VM configuration
+/// shares one compiled artifact; threads and lanes only shape execution.
+fn configs() -> Vec<RunRequest> {
+    common::configs().into_iter().map(|c| c.request()).collect()
+}
+
+/// Asserts two outcomes are `f64::to_bits`-identical with equal counters.
+fn assert_identical(a: &RunOutcome, b: &RunOutcome, ctx: &str) {
+    let bits = |o: &RunOutcome| o.scalars.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(a), bits(b), "{ctx}: scalars differ");
+    assert_eq!(a.stats, b.stats, "{ctx}: RunStats differ");
+}
 
 const HEAT: &str = r#"
 program heat;
@@ -21,32 +36,35 @@ end
 "#;
 
 /// Cache accounting is exact across a serve batch: one miss per distinct
-/// (program, level, engine, binding) coordinate, hits for every repeat.
+/// (program, binding, spec, artifact) coordinate, hits for every repeat.
+/// Every configuration — and every engine alias — maps to one of two
+/// artifacts (interpreter or verified bytecode), and every served answer
+/// is bit-identical to the interpreter's.
 #[test]
 fn serve_accounting_one_miss_per_distinct_key() {
-    let engines = Engine::all();
+    let mut reqs = configs();
+    reqs.extend([Engine::VmVerified, Engine::VmSimd].map(|e| RunRequest::new().with_engine(e)));
     let repeats = 10;
-    let batch: Vec<ServeRequest> = (0..engines.len() * repeats)
-        .map(|i| {
-            ServeRequest::new(
-                "heat",
-                HEAT,
-                RunRequest::new().with_engine(engines[i % engines.len()]),
-            )
-        })
+    let batch: Vec<ServeRequest> = (0..reqs.len() * repeats)
+        .map(|i| ServeRequest::new("heat", HEAT, reqs[i % reqs.len()].clone()))
         .collect();
     let cache = Arc::new(CompileCache::new());
     let report = serve(&batch, 4, &cache);
     assert_eq!(report.completed(), batch.len());
-    assert_eq!(report.cache.misses, engines.len() as u64);
-    assert_eq!(report.cache.insertions, engines.len() as u64);
+    assert_eq!(report.degraded(), 0);
+    assert_eq!(report.cache.misses, 2, "{:?}", report.cache);
+    assert_eq!(report.cache.insertions, 2);
     assert_eq!(
         report.cache.hits,
-        (engines.len() * (repeats - 1)) as u64,
+        (batch.len() - 2) as u64,
         "{:?}",
         report.cache
     );
-    assert_eq!(cache.len(), engines.len());
+    assert_eq!(cache.len(), 2);
+    let interp = &report.records[0].scalars_bits;
+    for r in &report.records {
+        assert_eq!(&r.scalars_bits, interp, "request {}", r.index);
+    }
 }
 
 /// N threads hammering one key concurrently all get bit-identical
@@ -122,27 +140,30 @@ fn supervisor_runs_hit_the_attached_cache() {
 }
 
 /// The cached artifact at every level matches a cache-free compile of
-/// the same source, bit for bit, on every engine.
+/// the same source and the interpreter, bit for bit and counter for
+/// counter, under every configuration.
 #[test]
 fn cached_results_match_uncached_at_all_levels() {
+    let program = zlang::compile(HEAT).unwrap();
     for level in Level::all() {
         let cache = CompileCache::new();
-        for engine in Engine::all() {
-            let req = RunRequest::new().with_level(level).with_engine(engine);
-            let program = zlang::compile(HEAT).unwrap();
+        let mut reference: Option<RunOutcome> = None;
+        for (i, req) in configs().into_iter().enumerate() {
+            let req = req.with_level(level);
+            let ctx = format!("{level:?} on {req}");
             let (cached, hit) = cache.get_or_compile(&program, &req).unwrap();
-            assert!(!hit, "{level:?} {engine}");
+            // The interpreter and the first VM configuration compile; every
+            // later VM configuration reuses the one verified artifact.
+            assert_eq!(hit, i > 1, "{ctx}");
             let cold = cached.executor(req.exec_opts()).execute_pure().unwrap();
+            let reference = reference.get_or_insert_with(|| cold.clone());
+            assert_identical(&cold, reference, &ctx);
             let uncached = req.supervisor().run_source(HEAT).unwrap();
-            assert_eq!(
-                cold.checksum().to_bits(),
-                uncached.outcome.checksum().to_bits(),
-                "{level:?} on {engine}: cached vs supervisor"
-            );
+            assert_identical(&cold, &uncached.outcome, &ctx);
             let (again, hit) = cache.get_or_compile(&program, &req).unwrap();
             assert!(hit);
             let warm = again.executor(req.exec_opts()).execute_pure().unwrap();
-            assert_eq!(cold.checksum().to_bits(), warm.checksum().to_bits());
+            assert_identical(&cold, &warm, &ctx);
         }
     }
 }
@@ -166,4 +187,37 @@ fn eviction_thrash_stays_correct() {
     }
     assert!(cache.stats().evictions >= 6, "{:?}", cache.stats());
     assert_eq!(cache.len(), 1);
+}
+
+/// A rejected bytecode proof is served from the checked rung at the
+/// requested spec: every VM configuration completes degraded, names the
+/// rejection, and still answers bit-identically to the interpreter.
+#[test]
+fn verify_rejects_are_served_from_the_checked_rung() {
+    use fusion_core::serve::{serve_with, ServeOptions};
+    use testkit::faults::{FaultPlan, FaultSite};
+    let reqs = configs();
+    let batch: Vec<ServeRequest> = reqs
+        .iter()
+        .map(|r| ServeRequest::new("heat", HEAT, r.clone()))
+        .collect();
+    let opts = ServeOptions::new()
+        .with_workers(2)
+        .with_faults(FaultPlan::new(3).with(FaultSite::VerifyReject, 1.0));
+    let cache = Arc::new(CompileCache::new());
+    let report = serve_with(&batch, &opts, &cache);
+    assert_eq!(report.completed(), batch.len(), "{}", report.render());
+    let interp = &report.records[0].scalars_bits;
+    for r in &report.records {
+        assert_eq!(&r.scalars_bits, interp, "request {}", r.index);
+        assert_eq!(
+            r.degraded,
+            r.engine != Engine::Interp,
+            "request {}",
+            r.index
+        );
+    }
+    // The interpreter artifact and the one checked artifact; the verified
+    // one never publishes.
+    assert_eq!(cache.len(), 2);
 }

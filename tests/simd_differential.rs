@@ -1,17 +1,19 @@
 //! Differential suite for the two-tier ISA: superinstruction bytecode
 //! with lane-based innermost-loop dispatch.
 //!
-//! The `vm-simd` and `vm-par` engines run a different instruction stream
-//! from the scalar engines — the post-compile peephole collapses fused
-//! element-wise chains into superinstructions and annotates provably
-//! vectorizable innermost loops, which the dispatch loop then executes
-//! over unrolled f64 lanes with a scalar epilogue. None of that may be
-//! observable: this harness sweeps generated random and stencil-shaped
-//! programs (the `testkit::genprog` generators) across lane widths 1, 2,
-//! and 8 and every engine, and insists every scalar stays *bit-identical*
-//! to the unoptimized reference interpreter, with identical execution
-//! counters. A second pass drives the same sweep through the paper
-//! benchmarks at every level.
+//! Every VM engine runs the superfused instruction stream — the
+//! post-compile peephole collapses fused element-wise chains into
+//! superinstructions and annotates provably vectorizable innermost loops,
+//! which the dispatch loop then executes over unrolled f64 lanes with a
+//! scalar epilogue. None of that may be observable: this harness sweeps
+//! generated random and stencil-shaped programs (the `testkit::genprog`
+//! generators) across every distinct (threads, lanes) configuration and
+//! the supervisor's checked rung, and insists every scalar stays
+//! *bit-identical* to the interpreter, with identical execution counters.
+//! A second pass drives the same sweep through the paper benchmarks at
+//! every level.
+
+mod common;
 
 use testkit::{genprog, Rng};
 use zlang::ir::{Program, ScalarId};
@@ -19,10 +21,6 @@ use zpl_fusion::prelude::*;
 
 /// Generated programs per generator per sweep.
 const PROGRAMS: u64 = 15;
-
-/// The lane widths under test: scalar dispatch over superinstruction
-/// bytecode (1), the alias-cap boundary (2), and the maximum (8).
-const LANES: [usize; 3] = [1, 2, 8];
 
 /// The two checksum scalars every generated program declares first.
 fn checksums(out: &RunOutcome) -> (u64, u64) {
@@ -32,24 +30,32 @@ fn checksums(out: &RunOutcome) -> (u64, u64) {
     )
 }
 
-/// The reference: the tree-walking interpreter on the same optimized
-/// program (the optimizer is common to every engine; only execution is
-/// under test here).
-fn run(
+/// Every configuration plus the checked rung on one optimized program,
+/// labelled, in sweep order; the interpreter comes first.
+fn outcomes(
     opt: &zpl_fusion::fusion::pipeline::Optimized,
     binding: &ConfigBinding,
-    engine: Engine,
-    lanes: usize,
-) -> RunOutcome {
-    engine
-        .executor_with(
-            &opt.scalarized,
-            binding.clone(),
-            ExecOpts::with_lanes(lanes),
-        )
-        .unwrap_or_else(|e| panic!("{engine} x{lanes} refused to construct: {e}"))
-        .execute(&mut NoopObserver)
-        .unwrap_or_else(|e| panic!("{engine} x{lanes} failed: {e}"))
+) -> Vec<(String, RunOutcome)> {
+    let run = |mut exec: Box<dyn Executor + '_>, label: String| {
+        let out = exec
+            .execute(&mut NoopObserver)
+            .unwrap_or_else(|e| panic!("{label} failed: {e}"));
+        (label, out)
+    };
+    let mut out: Vec<(String, RunOutcome)> = common::configs()
+        .into_iter()
+        .map(|c| {
+            run(
+                c.executor(&opt.scalarized, binding.clone()),
+                format!("{c:?}"),
+            )
+        })
+        .collect();
+    out.push(run(
+        common::checked(&opt.scalarized, binding.clone()),
+        "checked".to_string(),
+    ));
+    out
 }
 
 fn sweep(source: &str, ctx: &str) {
@@ -57,21 +63,19 @@ fn sweep(source: &str, ctx: &str) {
         zlang::compile(source).unwrap_or_else(|e| panic!("{ctx}: invalid program: {e}\n{source}"));
     let opt = Pipeline::new(Level::C2F3).optimize(&program);
     let binding = ConfigBinding::defaults(&opt.scalarized.program);
-    let reference = run(&opt, &binding, Engine::Interp, 1);
-    let expect = checksums(&reference);
-    for engine in Engine::all() {
-        for lanes in LANES {
-            let out = run(&opt, &binding, engine, lanes);
-            assert_eq!(
-                checksums(&out),
-                expect,
-                "{ctx}: {engine} x{lanes} diverged from interp\n{source}"
-            );
-            assert_eq!(
-                out.stats, reference.stats,
-                "{ctx}: {engine} x{lanes} counters differ\n{source}"
-            );
-        }
+    let runs = outcomes(&opt, &binding);
+    let (_, reference) = &runs[0];
+    let expect = checksums(reference);
+    for (label, out) in &runs[1..] {
+        assert_eq!(
+            checksums(out),
+            expect,
+            "{ctx}: {label} diverged from interp\n{source}"
+        );
+        assert_eq!(
+            out.stats, reference.stats,
+            "{ctx}: {label} counters differ\n{source}"
+        );
     }
 }
 
@@ -103,20 +107,18 @@ fn benchmarks_are_bit_identical_at_every_lane_width_and_level() {
             let opt = Pipeline::new(level).optimize(&bench.program());
             let mut binding = ConfigBinding::defaults(&opt.scalarized.program);
             binding.set_by_name(&opt.scalarized.program, bench.size_config, n);
-            let reference = run(&opt, &binding, Engine::Interp, 1);
-            for engine in [Engine::VmSimd, Engine::VmPar] {
-                for lanes in LANES {
-                    let out = run(&opt, &binding, engine, lanes);
-                    let ctx = format!("{} at {level}: {engine} x{lanes}", bench.name);
-                    for (i, (a, b)) in reference.scalars.iter().zip(&out.scalars).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{ctx}: scalar {i} differs ({a} vs {b})"
-                        );
-                    }
-                    assert_eq!(reference.stats, out.stats, "{ctx}: RunStats differ");
+            let runs = outcomes(&opt, &binding);
+            let (_, reference) = &runs[0];
+            for (label, out) in &runs[1..] {
+                let ctx = format!("{} at {level}: {label}", bench.name);
+                for (i, (a, b)) in reference.scalars.iter().zip(&out.scalars).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "{ctx}: scalar {i} differs ({a} vs {b})"
+                    );
                 }
+                assert_eq!(reference.stats, out.stats, "{ctx}: RunStats differ");
             }
         }
     }
@@ -135,7 +137,7 @@ fn cache_simulation_sees_the_scalar_access_stream() {
     let binding = ConfigBinding::defaults(&opt.scalarized.program);
     let m = t3e();
     let mut stats = Vec::new();
-    for engine in [Engine::Vm, Engine::VmSimd] {
+    for engine in [Engine::Interp, Engine::Vm] {
         let mut sim = MemSim::new(m.l1, m.l2);
         let mut exec = engine
             .executor_with(&opt.scalarized, binding.clone(), ExecOpts::with_lanes(8))
@@ -145,6 +147,6 @@ fn cache_simulation_sees_the_scalar_access_stream() {
     }
     assert_eq!(
         stats[0], stats[1],
-        "vm-simd changed the observed access stream under the cache simulator"
+        "vm at 8 lanes changed the observed access stream under the cache simulator"
     );
 }

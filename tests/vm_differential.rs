@@ -1,32 +1,43 @@
-//! Differential testing of the two execution engines.
+//! Differential testing of the execution engines.
 //!
 //! The bytecode VM is only useful if it is indistinguishable from the
 //! reference tree-walking interpreter. For every benchmark at every
-//! transformation level this harness asserts that the two engines produce
+//! transformation level this harness asserts that every compiled form
+//! (interpreter, checked bytecode, verified bytecode) produces
 //!
 //! * bitwise-identical scalar results (every scalar, compared by bits so
 //!   `-0.0` vs `0.0` or NaN-payload drift cannot hide),
 //! * identical [`RunStats`] (points, loads, stores, flops, allocations,
 //!   peak bytes), and
 //! * an identical memory-access stream as seen by the `machine` crate's
-//!   cache simulator (equal hit/miss counters on a real cache geometry).
+//!   cache simulator (equal hit/miss counters on a real cache geometry),
+//!
+//! and that every (threads, lanes) configuration of the verified form
+//! matches the interpreter's scalars and counters.
+
+mod common;
 
 use zpl_fusion::prelude::*;
 use zpl_fusion::sim::presets::t3e;
 use zpl_fusion::sim::MemSim;
 
+/// Every compiled form under the cache simulator. The simulator consumes
+/// the address stream, so threads and lanes stand down and only the
+/// compiled form is under test here.
 fn outcomes(
     opt: &zpl_fusion::fusion::pipeline::Optimized,
     binding: &ConfigBinding,
-) -> Vec<(Engine, RunOutcome, zpl_fusion::sim::MemStats)> {
+) -> Vec<(Artifact, RunOutcome, zpl_fusion::sim::MemStats)> {
     let m = t3e();
-    Engine::all()
+    [Artifact::Interp, Artifact::Checked, Artifact::Verified]
         .into_iter()
-        .map(|engine| {
+        .map(|artifact| {
             let mut sim = MemSim::new(m.l1, m.l2);
-            let mut exec = engine.executor(&opt.scalarized, binding.clone()).unwrap();
+            let mut exec = artifact
+                .executor(&opt.scalarized, binding.clone(), ExecOpts::default())
+                .unwrap();
             let out = exec.execute(&mut sim).unwrap();
-            (engine, out, sim.stats())
+            (artifact, out, sim.stats())
         })
         .collect()
 }
@@ -46,7 +57,7 @@ fn engines_agree_on_every_benchmark_at_every_level() {
             let rs = outcomes(&opt, &binding);
             let (e0, out0, mem0) = &rs[0];
             for (e, out, mem) in &rs[1..] {
-                let ctx = format!("{} at {level}: {e0} vs {e}", bench.name);
+                let ctx = format!("{} at {level}: {e0:?} vs {e:?}", bench.name);
                 for (i, (a, b)) in out0.scalars.iter().zip(&out.scalars).enumerate() {
                     assert_eq!(
                         a.to_bits(),
@@ -67,10 +78,11 @@ fn engines_agree_on_every_benchmark_at_every_level() {
 
 #[test]
 fn vm_par_is_bit_identical_to_interp_at_every_thread_count() {
-    // The parallel tiled engine promises results independent of the
-    // thread count: tile decomposition is static, reductions never split,
-    // and per-tile stats merge in tile order. Sweep 1/2/4 threads against
-    // the reference interpreter on every benchmark at every level.
+    // The presets promise results independent of the thread count and
+    // lane width: tile decomposition is static, reductions never split or
+    // vectorize, and per-tile stats merge in tile order. Sweep every
+    // distinct configuration against the reference interpreter on every
+    // benchmark at every level.
     for bench in zpl_fusion::workloads::all() {
         let n = match bench.rank {
             1 => 512,
@@ -85,16 +97,10 @@ fn vm_par_is_bit_identical_to_interp_at_every_thread_count() {
                 .executor(&opt.scalarized, binding.clone())
                 .unwrap();
             let reference = interp.execute(&mut NoopObserver).unwrap();
-            for threads in [1usize, 2, 4] {
-                let mut exec = Engine::VmPar
-                    .executor_with(
-                        &opt.scalarized,
-                        binding.clone(),
-                        ExecOpts::with_threads(threads),
-                    )
-                    .unwrap();
+            for config in common::configs() {
+                let mut exec = config.executor(&opt.scalarized, binding.clone());
                 let out = exec.execute(&mut NoopObserver).unwrap();
-                let ctx = format!("{} at {level}, {threads} threads", bench.name);
+                let ctx = format!("{} at {level}, {config:?}", bench.name);
                 for (i, (a, b)) in reference.scalars.iter().zip(&out.scalars).enumerate() {
                     assert_eq!(
                         a.to_bits(),
@@ -127,8 +133,8 @@ fn engines_agree_under_dimension_contraction() {
         let rs = outcomes(&opt, &binding);
         let (_, out0, mem0) = &rs[0];
         for (e, out, mem) in &rs[1..] {
-            assert_eq!(out0, out, "{} +dim ({e})", bench.name);
-            assert_eq!(mem0, mem, "{} +dim ({e}): cache stream", bench.name);
+            assert_eq!(out0, out, "{} +dim ({e:?})", bench.name);
+            assert_eq!(mem0, mem, "{} +dim ({e:?}): cache stream", bench.name);
         }
     }
 }
