@@ -183,6 +183,118 @@ pub(crate) enum Op {
     Halt,
 }
 
+impl Op {
+    /// Visits every frame register the op reads or writes, including the
+    /// constituent registers of a superinstruction.
+    pub(crate) fn for_each_reg(&self, mut f: impl FnMut(Reg)) {
+        match *self {
+            Op::Add { dst, a, b }
+            | Op::Sub { dst, a, b }
+            | Op::Mul { dst, a, b }
+            | Op::Div { dst, a, b }
+            | Op::Bin { dst, a, b, .. }
+            | Op::BinSt { dst, a, b, .. } => {
+                f(dst);
+                f(a);
+                f(b);
+            }
+            Op::Neg { dst, src } | Op::Mov { dst, src } | Op::Reduce { dst, src, .. } => {
+                f(dst);
+                f(src);
+            }
+            Op::Call { dst, base, n, .. } => {
+                f(dst);
+                (base..base.saturating_add(n as Reg)).for_each(f);
+            }
+            Op::IdxF { dst, .. }
+            | Op::Load { dst, .. }
+            | Op::CtrToScalar { dst, .. }
+            | Op::LdSt { dst, .. } => f(dst),
+            Op::Store { src, .. } => f(src),
+            Op::ForInit { lo, hi, .. } => {
+                f(lo);
+                f(hi);
+            }
+            Op::JmpIfZero { cond, .. } => f(cond),
+            Op::LdLdBin { dst, da, db, .. } => {
+                f(da);
+                f(db);
+                f(dst);
+            }
+            Op::LdBin { dst, dl, other, .. } => {
+                f(dl);
+                f(other);
+                f(dst);
+            }
+            Op::BinBin {
+                d1,
+                a1,
+                b1,
+                d2,
+                a2,
+                b2,
+                ..
+            } => [d1, a1, b1, d2, a2, b2].into_iter().for_each(f),
+            Op::Tick { .. }
+            | Op::NestBegin { .. }
+            | Op::ReduceBegin
+            | Op::ParBegin { .. }
+            | Op::Alloc { .. }
+            | Op::SetIdx { .. }
+            | Op::IdxStep { .. }
+            | Op::CtrInit { .. }
+            | Op::CtrToIdx { .. }
+            | Op::CtrStep { .. }
+            | Op::Jmp { .. }
+            | Op::SimdBegin { .. }
+            | Op::Halt => {}
+        }
+    }
+}
+
+/// One `Reduce` op whose accumulator is private (see [`private_folds`]).
+pub(crate) struct PrivateFold {
+    /// Index of the op in the scanned slice.
+    pub at: usize,
+    pub op: ReduceOp,
+    /// The accumulator register.
+    pub acc: Reg,
+}
+
+/// The `Reduce` ops of `ops`, in order, provided each accumulator is
+/// private to its reduce: no other op of `ops` reads or writes it
+/// (another reduce into it included) and the reduce does not fold the
+/// accumulator into itself. Otherwise returns the index of an offending
+/// op and the accumulator it touches.
+///
+/// A private accumulator is the one loop-carried register that lane and
+/// tile execution can carry: nothing else observes its intermediate
+/// values, so only the order of its own fold matters.
+pub(crate) fn private_folds(ops: &[Op]) -> Result<Vec<PrivateFold>, (usize, Reg)> {
+    let mut folds = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        let Op::Reduce { op, dst, src } = *op else {
+            continue;
+        };
+        if src == dst {
+            return Err((i, dst));
+        }
+        for (j, other) in ops.iter().enumerate() {
+            let mut hit = false;
+            other.for_each_reg(|r| hit |= r == dst);
+            if hit && j != i {
+                return Err((j, dst));
+            }
+        }
+        folds.push(PrivateFold {
+            at: i,
+            op,
+            acc: dst,
+        });
+    }
+    Ok(folds)
+}
+
 /// Maximum number of f64 lanes the vectorized innermost-loop dispatch
 /// unrolls (one AVX-512-free cache line's worth; the portable kernel and
 /// the `std::arch` kernels all operate on blocks of this width).
@@ -230,6 +342,15 @@ pub(crate) enum LaneOp {
     },
     /// Count one iteration point and `flops` flops per lane.
     Tick { flops: u32 },
+    /// Per lane `m` in order: `f[acc] = fold(op, f[acc], src[m])` — the
+    /// loop's `Reduce` into the scalar accumulator `acc`, which no other
+    /// body op touches, so folding a chunk's lanes in lane order at this
+    /// point is the scalar loop's fold in iteration order.
+    Fold {
+        op: ReduceOp,
+        acc: Reg,
+        src: LaneSrc,
+    },
 }
 
 /// Compile-time description of one lane-vectorizable innermost loop,
@@ -237,12 +358,14 @@ pub(crate) enum LaneOp {
 ///
 /// The loop occupying pcs `[head, exit)` (body plus its `IdxStep`; the
 /// loop's `SetIdx` sits at `head - 1`) is straight-line, touches only
-/// check-free accesses, carries no reduction and no loop-carried register
-/// dependence, and the cross-iteration alias analysis proved that no two
-/// accesses to a stored array collide within `lanes` consecutive
-/// iterations. Executing `lanes` iterations as parallel f64 lanes is
-/// therefore observably identical to the scalar order: each lane computes
-/// exactly the scalar iteration's values, bit for bit.
+/// check-free accesses, carries no loop-carried register dependence other
+/// than reduction accumulators that only their own `Reduce` touches, and
+/// the cross-iteration alias analysis proved that no two accesses to a
+/// stored array collide within `lanes` consecutive iterations. Executing
+/// `lanes` iterations as parallel f64 lanes is therefore observably
+/// identical to the scalar order: each lane computes exactly the scalar
+/// iteration's values, bit for bit, and each accumulator folds the lane
+/// values in lane order ([`LaneOp::Fold`]), which is iteration order.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SimdInfo {
     /// The index-vector dimension the loop iterates.
@@ -297,12 +420,17 @@ pub(crate) struct Check {
 /// iteration points are independent along `dim`: the compiler proved that
 /// every array written inside the ladder varies along `dim` (nonzero
 /// stride) and is only accessed at a single constant offset along `dim`,
-/// that the body carries no reduction, and that every loop-local temp is
-/// written before it is read. Splitting the range of `dim` into contiguous
+/// that every loop-local temp is written before it is read, and that every
+/// reduction in the body is a `max`/`min` into an accumulator nothing else
+/// in the ladder touches. Splitting the range of `dim` into contiguous
 /// tiles therefore partitions the writes, and executing the tiles in any
 /// interleaving is observably identical to the sequential run (the
 /// per-element result of each point does not depend on any other tile).
-#[derive(Debug, Clone, Copy)]
+/// Each tile folds its own partial of every accumulator in `folds`,
+/// seeded with the pre-ladder value; `max`/`min` are order-free under
+/// [`fold`](crate::fold), so combining the partials in tile order gives
+/// the sequential result bit for bit.
+#[derive(Debug, Clone)]
 pub(crate) struct ParInfo {
     /// The index-vector dimension whose range may be partitioned.
     pub dim: u8,
@@ -316,6 +444,9 @@ pub(crate) struct ParInfo {
     pub entry: u32,
     /// pc one past the ladder's outermost `IdxStep`.
     pub exit: u32,
+    /// The ladder's reduction accumulators as `(register, op)`, in the
+    /// order their `Reduce` ops appear; every op is `Max` or `Min`.
+    pub folds: Vec<(Reg, ReduceOp)>,
 }
 
 /// One resolved array access site.
@@ -503,25 +634,26 @@ fn max_temps_in(stmts: &[LStmt], max: &mut u32) {
     }
 }
 
-/// Visits every loop-local temp read by `e`.
-fn temp_reads(e: &EExpr, f: &mut impl FnMut(u32)) {
+/// Visits every leaf of `e` (loads, temps, scalars, configs, constants,
+/// indices).
+fn leaves(e: &EExpr, f: &mut impl FnMut(&EExpr)) {
     match e {
-        EExpr::Temp(t) => f(t.0),
-        EExpr::Unary(_, inner) => temp_reads(inner, f),
+        EExpr::Unary(_, inner) => leaves(inner, f),
         EExpr::Binary(_, l, r) => {
-            temp_reads(l, f);
-            temp_reads(r, f);
+            leaves(l, f);
+            leaves(r, f);
         }
         EExpr::Call(_, args) => {
             for a in args {
-                temp_reads(a, f);
+                leaves(a, f);
             }
         }
         EExpr::Load(..)
+        | EExpr::Temp(_)
         | EExpr::ScalarRef(_)
         | EExpr::ConfigRef(_)
         | EExpr::Const(_)
-        | EExpr::Index(_) => {}
+        | EExpr::Index(_) => f(e),
     }
 }
 
@@ -1100,28 +1232,50 @@ impl<'p> Compiler<'p> {
     ///   along `d` (offsets along *other* dimensions are free — a column
     ///   stencil still row-parallelizes).
     ///
-    /// Independently of the dimension, the body must carry no reduction
-    /// (reductions stay sequential so the fold order — and therefore the
-    /// IEEE-754 result bits — matches the interpreter exactly), and every
-    /// loop-local temp must be written before it is read so no point
-    /// depends on another tile's temp value. Note that clusters fused under
-    /// the paper's null-distance contraction test satisfy all of this
-    /// automatically; the re-check keeps hand-built nests honest.
+    /// Independently of the dimension, every loop-local temp must be
+    /// written before it is read so no point depends on another tile's
+    /// temp value, and every reduction must be a `max<<`/`min<<` into a
+    /// scalar that no other statement of the body reads or reduces into.
+    /// Such a fold is order-free ([`fold`](crate::fold)), so each tile
+    /// folds a partial and the partials combine exactly; a `+<<`/`*<<`
+    /// keeps the whole nest sequential, because IEEE-754 `+` and `*` are
+    /// not associative and any split would change the result bits. Note
+    /// that clusters fused under the paper's null-distance contraction
+    /// test satisfy the array and temp conditions automatically; the
+    /// re-check keeps hand-built nests honest.
     fn par_dim(&self, nest: &LoopNest, order: &[(usize, bool, i64, i64)]) -> Option<ParInfo> {
         let mut defined: HashSet<u32> = HashSet::new();
+        let mut folds: Vec<(Reg, ReduceOp)> = Vec::new();
+        let mut scalar_reads: HashSet<Reg> = HashSet::new();
         for s in &nest.body {
             let mut stale = false;
-            temp_reads(&s.rhs, &mut |t| stale |= !defined.contains(&t));
+            leaves(&s.rhs, &mut |e| match e {
+                EExpr::Temp(t) => stale |= !defined.contains(&t.0),
+                EExpr::ScalarRef(v) => {
+                    scalar_reads.insert(v.0 as Reg);
+                }
+                _ => {}
+            });
             if stale {
                 return None;
             }
             match &s.target {
+                ElemRef::Reduce(v, op @ (ReduceOp::Max | ReduceOp::Min)) => {
+                    let r = v.0 as Reg;
+                    if folds.iter().any(|&(f, _)| f == r) {
+                        return None;
+                    }
+                    folds.push((r, *op));
+                }
                 ElemRef::Reduce(..) => return None,
                 ElemRef::Temp(t) => {
                     defined.insert(t.0);
                 }
                 ElemRef::Array(..) => {}
             }
+        }
+        if folds.iter().any(|(r, _)| scalar_reads.contains(r)) {
+            return None;
         }
         let stores = nest.stores();
         let loads = nest.loads();
@@ -1153,6 +1307,7 @@ impl<'p> Compiler<'p> {
                 extent,
                 entry: 0,
                 exit: 0,
+                folds,
             });
         }
         None
@@ -1376,6 +1531,9 @@ fn lane_op_str(op: &LaneOp) -> String {
                 .join(", ")
         ),
         LaneOp::Tick { flops } => format!("tick flops={flops}"),
+        LaneOp::Fold { op, acc, src } => {
+            format!("r{acc} = {op:?}(r{acc}, {}) over lanes", lane_src_str(*src))
+        }
     }
 }
 
@@ -1401,13 +1559,19 @@ fn op_str(code: &Code, op: &Op) -> (&'static str, String) {
         Op::ReduceBegin => ("rbegin", "begin reduction".to_string()),
         Op::ParBegin { par } => {
             let p = &code.pars[par as usize];
-            (
-                "par",
-                format!(
-                    "p{par}: dim i{} start {} step {} extent {} pcs [{}, {})",
-                    p.dim, p.start, p.step, p.extent, p.entry, p.exit
-                ),
-            )
+            let mut detail = format!(
+                "p{par}: dim i{} start {} step {} extent {} pcs [{}, {})",
+                p.dim, p.start, p.step, p.extent, p.entry, p.exit
+            );
+            if !p.folds.is_empty() {
+                let folds: Vec<String> = p
+                    .folds
+                    .iter()
+                    .map(|(r, op)| format!("{op:?} r{r}"))
+                    .collect();
+                detail.push_str(&format!(" folds [{}]", folds.join(", ")));
+            }
+            ("par", detail)
         }
         Op::Alloc { arr } => (
             "alloc",

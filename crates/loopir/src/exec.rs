@@ -287,8 +287,9 @@ pub enum Engine {
     /// The bytecode VM ([`Vm`]), sequential: superinstruction bytecode
     /// the verifier proved, so element accesses skip the slice bounds
     /// check and provably vectorizable innermost loops run over unrolled
-    /// f64 lanes (`ExecOpts::lanes`). Reductions stay strictly serial, so
-    /// results are `f64::to_bits`-identical to [`Engine::Interp`]. Refuses
+    /// f64 lanes (`ExecOpts::lanes`). Reductions fold each chunk's lane
+    /// values in iteration order, so results are `f64::to_bits`-identical
+    /// to [`Engine::Interp`]. Refuses
     /// to construct (with the verifier's diagnostics) if the proof fails.
     /// Lanes only engage under observers that do not consume the
     /// per-element address stream ([`Observer::wants_addresses`]). The
@@ -303,9 +304,11 @@ pub enum Engine {
     /// compiler proved independent along one dimension fan out as per-tile
     /// tasks on a work-stealing `std::thread` pool of `ExecOpts::threads`
     /// workers, each tile running lanes in its innermost loop.
-    /// Bit-identical to [`Engine::Interp`] regardless of thread count
-    /// (reductions stay sequential, tile counters merge in deterministic
-    /// tile order). Under observers that consume the address stream the
+    /// Bit-identical to [`Engine::Interp`] regardless of thread count:
+    /// only `max<<`/`min<<` reductions split across tiles, whose partials
+    /// combine exactly under [`fold`](crate::fold); nests carrying
+    /// `+<<`/`*<<` stay sequential; tile counters merge in deterministic
+    /// tile order. Under observers that consume the address stream the
     /// run stays sequential, preserving the exact address order.
     VmPar,
 }

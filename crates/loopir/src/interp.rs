@@ -580,12 +580,7 @@ impl<'p> Interp<'p> {
                 }
                 ElemRef::Reduce(s, op) => {
                     let acc = &mut self.scalars[s.0 as usize];
-                    *acc = match op {
-                        ReduceOp::Sum => *acc + v,
-                        ReduceOp::Prod => *acc * v,
-                        ReduceOp::Max => acc.max(v),
-                        ReduceOp::Min => acc.min(v),
-                    };
+                    *acc = fold(*op, *acc, v);
                     obs.flops(1);
                     self.stats.flops += 1;
                 }
@@ -681,12 +676,7 @@ impl<'p> Interp<'p> {
                 self.spend_point()?;
                 let v = self.eval_elem(rhs, &idx, obs)?;
                 self.stats.points += 1;
-                acc = match op {
-                    ReduceOp::Sum => acc + v,
-                    ReduceOp::Prod => acc * v,
-                    ReduceOp::Max => acc.max(v),
-                    ReduceOp::Min => acc.min(v),
-                };
+                acc = fold(op, acc, v);
                 obs.flops(1);
                 self.stats.flops += 1;
                 let mut d = rank;
@@ -716,6 +706,48 @@ impl crate::exec::Executor for Interp<'_> {
 
     fn set_limits(&mut self, limits: crate::exec::ExecLimits) {
         Interp::set_limits(self, limits);
+    }
+}
+
+/// Combines one value `v` into a reduction accumulator `acc`: the single
+/// definition of a reduction step, shared by both interpreter reduce
+/// sites, the VM's `Reduce` op, parallel tiles, the lane fold, and the
+/// combine of per-tile partial results.
+///
+/// `Sum` and `Prod` are plain `+` and `*`, so their result depends on the
+/// fold order and every engine folds in iteration order. `Max` and `Min`
+/// are explicit comparisons rather than `f64::max`/`f64::min`, whose
+/// choice between `+0` and `-0` is unspecified:
+///
+/// * a NaN value never replaces the accumulator;
+/// * a NaN accumulator is replaced by the first non-NaN value;
+/// * `+0` beats `-0` for `Max`, and `-0` beats `+0` for `Min`.
+///
+/// Under these rules a `Max`/`Min` fold ends at the extreme of the
+/// non-NaN values among the starting accumulator and the folded values
+/// (or at the starting accumulator itself when all of them are NaN),
+/// whatever their order or grouping: folding per-tile partials that each
+/// started from the same accumulator gives exactly the sequential result.
+///
+/// ```
+/// use zlang::ast::ReduceOp;
+/// assert_eq!(loopir::fold(ReduceOp::Max, -0.0, 0.0).to_bits(), 0.0f64.to_bits());
+/// assert_eq!(loopir::fold(ReduceOp::Min, 0.0, -0.0).to_bits(), (-0.0f64).to_bits());
+/// assert_eq!(loopir::fold(ReduceOp::Max, 1.0, f64::NAN), 1.0);
+/// assert_eq!(loopir::fold(ReduceOp::Min, f64::NAN, 2.0), 2.0);
+/// ```
+#[inline]
+pub fn fold(op: ReduceOp, acc: f64, v: f64) -> f64 {
+    let take = match op {
+        ReduceOp::Sum => return acc + v,
+        ReduceOp::Prod => return acc * v,
+        ReduceOp::Max => v > acc || (v == 0.0 && acc == 0.0 && acc.is_sign_negative()),
+        ReduceOp::Min => v < acc || (v == 0.0 && acc == 0.0 && acc.is_sign_positive()),
+    };
+    if take || (acc.is_nan() && !v.is_nan()) {
+        v
+    } else {
+        acc
     }
 }
 

@@ -24,7 +24,7 @@ pub mod verifier;
 pub mod vm;
 
 pub use exec::{Artifact, Engine, ExecLimits, ExecOpts, Executor, RunOutcome, TileStats};
-pub use interp::{ErrorKind, ExecError, Interp, NoopObserver, Observer, RunStats};
+pub use interp::{fold, ErrorKind, ExecError, Interp, NoopObserver, Observer, RunStats};
 pub use ir::{EExpr, ElemRef, ElemStmt, LStmt, LoopNest, ScalarProgram, TempId};
 pub use verifier::VerifyDiagnostic;
 pub use vm::{SharedProgram, Vm};

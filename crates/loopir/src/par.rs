@@ -21,22 +21,30 @@
 //!   proof), so the array contents equal the sequential run's bit for bit;
 //! * per-tile counters return as [`TileStats`] keyed by tile index and
 //!   merge in that order ([`RunOutcome::merge`](crate::RunOutcome::merge));
-//!   errors resolve to the lowest-indexed failing tile.
+//!   errors resolve to the lowest-indexed failing tile;
+//! * a ladder may carry `max<<`/`min<<` reductions into private
+//!   accumulators ([`ParInfo::folds`]). Every tile starts from the frame
+//!   snapshot, so each folds its own partial seeded with the pre-ladder
+//!   value, and [`combine`] folds the partials in tile order into the
+//!   coordinator's registers. Under [`fold`] those operators are
+//!   order-free bit for bit, so the result equals the sequential fold.
 //!
-//! Reduction nests never reach this module: IEEE-754 addition is not
-//! associative, so any split of a `+<<` fold would change result bits. The
-//! engines contract bit-identity across thread counts, and that contract
-//! wins — reductions stay sequential on the coordinator.
+//! `+<<` and `*<<` never reach this module: IEEE-754 addition and
+//! multiplication are not associative, so any split of their fold would
+//! change result bits. The compiler keeps such nests sequential (they
+//! still run in lanes, which fold in iteration order), and the tile
+//! executor traps on any reduce its ladder does not list.
 
 use crate::bytecode::{Code, Op, ParInfo, MAX_LANES, MAX_RANK};
 use crate::exec::TileStats;
-use crate::interp::{binop, ExecError};
+use crate::interp::{binop, fold, ExecError};
 use crate::simd::{self, LaneMem};
 use crate::vm::{resolve, VmArray};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Instant;
+use zlang::ast::ReduceOp;
 
 /// A persistent pool of `threads - 1` workers plus the coordinating
 /// thread. Workers park on a condvar between batches; submitting a batch
@@ -148,13 +156,16 @@ struct TileRun {
     /// The index vector as the tile's ladder left it; the last tile's copy
     /// equals the sequential run's post-ladder state.
     final_idx: [i64; MAX_RANK],
+    /// The tile's partial of each accumulator in [`ParInfo::folds`].
+    partials: Vec<f64>,
 }
 
 /// One published fan-out: the shared program, the frozen pre-ladder run
 /// state, and the tile work list.
 struct Batch {
     code: Arc<Code>,
-    info: ParInfo,
+    /// Index of the ladder's entry in [`Code::pars`].
+    par: usize,
     /// Per tile, the partitioned dimension's `(start, stop)` override, in
     /// iteration order (`stop` is one `step` past the tile's last
     /// iterate), concatenating to exactly the sequential range.
@@ -196,6 +207,10 @@ unsafe impl Send for Batch {}
 unsafe impl Sync for Batch {}
 
 impl Batch {
+    fn info(&self) -> &ParInfo {
+        &self.code.pars[self.par]
+    }
+
     fn run_tiles(&self) {
         loop {
             let t = self.next.fetch_add(1, Ordering::Relaxed);
@@ -218,7 +233,7 @@ impl Batch {
 /// 4x over-decomposition lets the stealing cursor rebalance when tiles
 /// run unevenly; the decomposition itself depends only on static bounds
 /// and the configured thread count, never on scheduling.
-fn make_tiles(info: ParInfo, threads: usize) -> Vec<(i64, i64)> {
+fn make_tiles(info: &ParInfo, threads: usize) -> Vec<(i64, i64)> {
     let extent = info.extent as usize;
     let want = (threads * 4).clamp(1, extent);
     let base = extent / want;
@@ -234,19 +249,29 @@ fn make_tiles(info: ParInfo, threads: usize) -> Vec<(i64, i64)> {
     tiles
 }
 
-/// Executes one marked ladder as parallel tiles and waits for all of them.
+/// Combines per-tile partials of one accumulator, in tile order: the
+/// first tile's partial, then each later one folded in. Every partial was
+/// seeded with the same pre-ladder value, and `op` is `Max` or `Min`, so
+/// this equals the sequential fold of the whole range.
+pub(crate) fn combine(op: ReduceOp, partials: impl IntoIterator<Item = f64>) -> Option<f64> {
+    partials.into_iter().reduce(|acc, v| fold(op, acc, v))
+}
+
+/// Executes ladder `par` of `code` as parallel tiles and waits for all of
+/// them.
 ///
-/// Appends each tile's counters to `out` in tile order and returns the
-/// sequential run's post-ladder index vector. On failure returns the
-/// error of the lowest-indexed failing tile (which, when the partitioned
-/// dimension is outermost, is also the first error the sequential run
-/// would have hit).
+/// Appends each tile's counters to `out` in tile order, writes the
+/// combined value of every accumulator in the ladder's fold list into
+/// `frame`, and returns the sequential run's post-ladder index vector. On
+/// failure returns the error of the lowest-indexed failing tile (which,
+/// when the partitioned dimension is outermost, is also the first error
+/// the sequential run would have hit).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_ladder(
     pool: &Pool,
     code: &Arc<Code>,
-    info: ParInfo,
-    frame: &[f64],
+    par: usize,
+    frame: &mut [f64],
     idx: &[i64; MAX_RANK],
     arrays: &mut [Option<VmArray>],
     deadline: Option<Instant>,
@@ -254,6 +279,7 @@ pub(crate) fn run_ladder(
     lanes: usize,
     out: &mut Vec<TileStats>,
 ) -> Result<[i64; MAX_RANK], ExecError> {
+    let info = &code.pars[par];
     let tiles = make_tiles(info, pool.threads());
     let n = tiles.len();
     let views = arrays
@@ -271,7 +297,7 @@ pub(crate) fn run_ladder(
         .collect();
     let batch = Arc::new(Batch {
         code: Arc::clone(code),
-        info,
+        par,
         tiles,
         frame: frame.to_vec(),
         idx: *idx,
@@ -292,15 +318,22 @@ pub(crate) fn run_ladder(
     while st.done < n {
         st = batch.done_cv.wait(st).unwrap();
     }
-    let mut final_idx = *idx;
+    let mut runs = Vec::with_capacity(n);
     for slot in st.slots.iter_mut() {
-        match slot.take().expect("completed batch has every slot filled") {
-            Ok(run) => {
-                final_idx = run.final_idx;
-                out.push(run.stats);
-            }
-            Err(e) => return Err(e),
+        runs.push(
+            slot.take()
+                .expect("completed batch has every slot filled")?,
+        );
+    }
+    for (k, &(r, op)) in info.folds.iter().enumerate() {
+        if let Some(v) = combine(op, runs.iter().map(|run| run.partials[k])) {
+            frame[r as usize] = v;
         }
+    }
+    let mut final_idx = *idx;
+    for run in runs {
+        final_idx = run.final_idx;
+        out.push(run.stats);
     }
     Ok(final_idx)
 }
@@ -310,19 +343,21 @@ pub(crate) fn run_ladder(
 ///
 /// Only the straight-line subset of the ISA can appear inside a ladder
 /// (the compiler puts allocs, counters, and nest bookkeeping before the
-/// `ParBegin`); anything else is a malformed-bytecode trap. Element
+/// `ParBegin`), plus the `Reduce` ops the ladder's fold list names;
+/// anything else is a malformed-bytecode trap. Element
 /// accesses are always length-checked against the view — unlike the
 /// sequential unchecked fast path this costs one predictable branch, and
 /// it keeps the raw-pointer path sound even for hand-built bytecode.
 fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
     let code = &*b.code;
     let ops = &code.ops[..];
-    let pdim = b.info.dim as usize;
+    let info = b.info();
+    let pdim = info.dim as usize;
     let (t_start, t_stop) = b.tiles[ti];
     let mut regs = b.frame.clone();
     let mut idx = b.idx;
-    let mut pc = b.info.entry as usize;
-    let exit = b.info.exit as usize;
+    let mut pc = info.entry as usize;
+    let exit = info.exit as usize;
     let (mut loads, mut stores, mut flops, mut points) = (0u64, 0u64, 0u64, 0u64);
     let mut ops_done = 0u64;
     let mut lane_scratch: Vec<[f64; MAX_LANES]> = Vec::new();
@@ -422,6 +457,9 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
             Op::Tick { flops: n } => {
                 points += 1;
                 flops += n as u64;
+            }
+            Op::Reduce { op, dst, src } if info.folds.contains(&(dst, op)) => {
+                regs[dst as usize] = fold(op, regs[dst as usize], regs[src as usize]);
             }
             Op::SetIdx { d, v } => {
                 idx[d as usize] = if d as usize == pdim { t_start } else { v };
@@ -557,6 +595,7 @@ fn run_tile(b: &Batch, ti: usize) -> Result<TileRun, ExecError> {
             ops: ops_done,
         },
         final_idx: idx,
+        partials: info.folds.iter().map(|&(r, _)| regs[r as usize]).collect(),
     })
 }
 
@@ -596,6 +635,7 @@ mod tests {
             extent,
             entry: 0,
             exit: 0,
+            folds: Vec::new(),
         }
     }
 
@@ -603,7 +643,7 @@ mod tests {
     fn tiles_cover_the_range_exactly() {
         for threads in [1, 2, 3, 4, 7] {
             for extent in [1i64, 2, 5, 16, 257] {
-                let up = make_tiles(info(1, 1, extent), threads);
+                let up = make_tiles(&info(1, 1, extent), threads);
                 assert!(up.len() <= (threads * 4).max(1));
                 let mut at = 1i64;
                 for &(start, stop) in &up {
@@ -613,7 +653,7 @@ mod tests {
                 }
                 assert_eq!(at, 1 + extent);
 
-                let down = make_tiles(info(extent, -1, extent), threads);
+                let down = make_tiles(&info(extent, -1, extent), threads);
                 let mut at = extent;
                 for &(start, stop) in &down {
                     assert_eq!(start, at);
@@ -625,10 +665,87 @@ mod tests {
         }
     }
 
+    /// The fold one lane run plus its scalar epilogue performs over
+    /// `vals` at width `l`: whole chunks through `fold_lanes`, then the
+    /// remainder one value at a time (`run_lanes` leaves a range shorter
+    /// than one chunk entirely to the scalar loop).
+    fn laned(op: ReduceOp, seed: f64, vals: &[f64], l: usize) -> f64 {
+        let whole = if l >= 2 { vals.len() / l * l } else { 0 };
+        let acc = vals[..whole]
+            .chunks(l.max(1))
+            .fold(seed, |a, c| simd::fold_lanes(op, a, c));
+        vals[whole..].iter().fold(acc, |a, &v| fold(op, a, v))
+    }
+
+    #[test]
+    fn tiled_and_laned_folds_equal_the_sequential_fold() {
+        // Every sequence of length <= 5 over the IEEE-754 corner values,
+        // every pre-ladder seed, every lane width, and (for max/min) every
+        // split into contiguous tiles — each tile folding its own partial
+        // from the seed, the partials combined in tile order.
+        const V: [f64; 7] = [
+            f64::NAN,
+            f64::NEG_INFINITY,
+            -1.0,
+            -0.0,
+            0.0,
+            1.0,
+            f64::INFINITY,
+        ];
+        let ops = [ReduceOp::Sum, ReduceOp::Prod, ReduceOp::Max, ReduceOp::Min];
+        let mut vals = Vec::with_capacity(5);
+        for len in 0..=5u32 {
+            for code in 0..7usize.pow(len) {
+                vals.clear();
+                let mut c = code;
+                for _ in 0..len {
+                    vals.push(V[c % 7]);
+                    c /= 7;
+                }
+                for seed in V {
+                    for op in ops {
+                        let want = vals.iter().fold(seed, |a, &v| fold(op, a, v)).to_bits();
+                        for l in 1..=MAX_LANES {
+                            let got = laned(op, seed, &vals, l).to_bits();
+                            assert_eq!(got, want, "{op:?} seed {seed} {vals:?} lanes {l}");
+                        }
+                        if !matches!(op, ReduceOp::Max | ReduceOp::Min) {
+                            continue;
+                        }
+                        // Bit k of `cuts` set: a tile boundary after value k.
+                        for cuts in 0..1u32 << len.saturating_sub(1) {
+                            let mut bounds = vec![0];
+                            bounds.extend(
+                                (0..len)
+                                    .filter(|k| cuts >> k & 1 == 1)
+                                    .map(|k| k as usize + 1),
+                            );
+                            bounds.push(vals.len());
+                            // Every tile is itself an enumerated sequence,
+                            // so the lane check above already covers each
+                            // (tile, width) pair; rotating the width over
+                            // the splits exercises the composition without
+                            // multiplying the run time.
+                            let l = 1 + cuts as usize % MAX_LANES;
+                            let partials = bounds
+                                .windows(2)
+                                .map(|w| laned(op, seed, &vals[w[0]..w[1]], l));
+                            let got = combine(op, partials).unwrap().to_bits();
+                            assert_eq!(
+                                got, want,
+                                "{op:?} seed {seed} {vals:?} tiles {bounds:?} lanes {l}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn tile_decomposition_is_deterministic() {
-        let a = make_tiles(info(0, 1, 100), 4);
-        let b = make_tiles(info(0, 1, 100), 4);
+        let a = make_tiles(&info(0, 1, 100), 4);
+        let b = make_tiles(&info(0, 1, 100), 4);
         assert_eq!(a, b);
         // and balanced: sizes differ by at most one iterate
         let sizes: Vec<i64> = a.iter().map(|&(s, e)| e - s).collect();

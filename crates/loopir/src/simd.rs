@@ -12,9 +12,13 @@
 //!    bundle is observably identical to the unfused sequence.
 //!
 //! 2. **Vectorization** ([`vectorize`]): each innermost region loop whose
-//!    body is straight-line, check-free, reduction-free, and free of
-//!    loop-carried register dependences is decoded once into a lane
-//!    program ([`LaneOp`]) and annotated with an [`Op::SimdBegin`] marker.
+//!    body is straight-line, check-free, and free of loop-carried register
+//!    dependences other than private reduction accumulators is decoded
+//!    once into a lane program ([`LaneOp`]) and annotated with an
+//!    [`Op::SimdBegin`] marker. A `Reduce` whose accumulator no other body
+//!    op touches becomes a [`LaneOp::Fold`]: the element-wise part runs
+//!    across lanes and the fold then combines the chunk's lane values into
+//!    the scalar accumulator in lane order, which is iteration order.
 //!    A cross-iteration alias analysis bounds the safe lane count: for
 //!    every same-array access pair with at least one store, a dependence
 //!    distance of `m` iterations caps the width at `m` lanes, because the
@@ -30,15 +34,17 @@
 //! resumes the scalar loop for the remainder iterations. Because each
 //! lane computes exactly the scalar iteration's values with the same
 //! per-element operation order, results stay `f64::to_bits`-identical to
-//! the interpreter; loops that would not (reductions, carried deps) are
-//! simply never annotated.
+//! the interpreter; loops that would not (carried dependences, shared
+//! accumulators) are simply never annotated.
 
-use crate::bytecode::{Code, LaneOp, LaneSrc, Op, Reg, SimdInfo, MAX_LANES, MAX_RANK};
-use crate::interp::{binop, ExecError};
+use crate::bytecode::{
+    private_folds, Code, LaneOp, LaneSrc, Op, Reg, SimdInfo, MAX_LANES, MAX_RANK,
+};
+use crate::interp::{binop, fold, ExecError};
 use crate::vm::{unallocated, VmArray};
 use std::collections::HashMap;
 use std::time::Instant;
-use zlang::ast::BinOp;
+use zlang::ast::{BinOp, ReduceOp};
 use zlang::ir::Intrinsic;
 
 /// Default lane width when the caller does not override it (wide enough
@@ -390,11 +396,16 @@ enum Micro {
     Tick {
         flops: u32,
     },
+    Reduce {
+        op: ReduceOp,
+        dst: Reg,
+        src: Reg,
+    },
 }
 
 /// Expands body ops (including superinstructions) into micro-ops, or
 /// `None` if the body contains anything outside the vectorizable subset
-/// (control flow, reductions, observer markers, nested loops).
+/// (control flow, observer markers, nested loops).
 fn expand(ops: &[Op]) -> Option<Vec<Micro>> {
     let mut out = Vec::with_capacity(ops.len() * 2);
     for op in ops {
@@ -431,6 +442,7 @@ fn expand(ops: &[Op]) -> Option<Vec<Micro>> {
             Op::Load { dst, acc } => out.push(Micro::Load { dst, acc }),
             Op::Store { acc, src } => out.push(Micro::Store { acc, src }),
             Op::Tick { flops } => out.push(Micro::Tick { flops }),
+            Op::Reduce { op, dst, src } => out.push(Micro::Reduce { op, dst, src }),
             Op::LdLdBin {
                 op,
                 dst,
@@ -500,12 +512,19 @@ fn expand(ops: &[Op]) -> Option<Vec<Micro>> {
 /// Decodes the innermost loop body `code.ops[head..tail]` iterating
 /// `dim` with `step` into a lane program, and proves a safe lane count.
 ///
+/// A `Reduce` decodes to a [`LaneOp::Fold`] when its accumulator is
+/// private ([`private_folds`]): the reduce is the only body op that reads
+/// or writes it. The fold list — which accumulators, with which operator,
+/// in which order — is part of the lane program, so the verifier
+/// re-derives it along with everything else.
+///
 /// Returns `None` when the body is not vectorizable: it contains an op
-/// outside the element-wise subset, a checked access, a loop-carried
-/// register dependence (a read of a body-written register before its
-/// first write in the body — e.g. a running reduction), a store that
-/// does not vary along `dim` (every lane would race on one cell), or a
-/// same-array dependence at distance < 2 iterations.
+/// outside the element-wise subset, a checked access, a reduction whose
+/// accumulator another body op touches, a loop-carried register
+/// dependence (a read of a body-written register before its first write
+/// in the body), a store that does not vary along `dim` (every lane would
+/// race on one cell), or a same-array dependence at distance < 2
+/// iterations.
 pub(crate) fn analyze_loop(
     code: &Code,
     head: usize,
@@ -514,6 +533,7 @@ pub(crate) fn analyze_loop(
     step: i64,
 ) -> Option<SimdCandidate> {
     let micro = expand(&code.ops[head..tail])?;
+    private_folds(&code.ops[head..tail]).ok()?;
 
     // Registers the body writes: a read of one of these *before* its
     // first write means the value flows around the back edge — a
@@ -527,7 +547,9 @@ pub(crate) fn analyze_loop(
             | Micro::Mov { dst, .. }
             | Micro::IdxF { dst, .. }
             | Micro::Call { dst, .. } => written.push(dst),
-            Micro::Store { .. } | Micro::Tick { .. } => {}
+            // A private accumulator stays a scalar: it is folded, never
+            // lane-mapped, and nothing else in the body reads it.
+            Micro::Store { .. } | Micro::Tick { .. } | Micro::Reduce { .. } => {}
         }
     }
 
@@ -604,6 +626,10 @@ pub(crate) fn analyze_loop(
                 body.push(LaneOp::Call { intr, dst, args });
             }
             Micro::Tick { flops } => body.push(LaneOp::Tick { flops }),
+            Micro::Reduce { op, dst, src: r } => {
+                let src = src(&lane_of, r)?;
+                body.push(LaneOp::Fold { op, acc: dst, src });
+            }
         }
     }
 
@@ -738,6 +764,19 @@ enum ChunkOp {
         n: u8,
         args: [u16; MAX_CALL_ARGS],
     },
+    /// `accs[acc] = fold_lanes(op, accs[acc], lane[src][..l])`.
+    Fold {
+        op: ReduceOp,
+        acc: u16,
+        src: u16,
+    },
+}
+
+/// Folds one chunk's lane values into a reduction accumulator in lane
+/// order — the order the scalar loop would have folded those iterations.
+#[inline(always)]
+pub(crate) fn fold_lanes(op: ReduceOp, acc: f64, vals: &[f64]) -> f64 {
+    vals.iter().fold(acc, |a, &v| fold(op, a, v))
 }
 
 /// One memory access's address stream. `flat` is lane 0's flat index for
@@ -830,6 +869,8 @@ struct ChunkCtx<'a> {
     ops: &'a [ChunkOp],
     streams: &'a mut [MemStream],
     lane: &'a mut [[f64; MAX_LANES]],
+    /// The loop's reduction accumulators, indexed by `ChunkOp::Fold::acc`.
+    accs: &'a mut [f64],
     l: usize,
     chunks: i64,
     /// `idx[dim]` of lane 0 of chunk 0.
@@ -932,6 +973,10 @@ fn chunk_loop(kern: Kernel, cx: &mut ChunkCtx) -> Result<(), ExecError> {
                         out[m] = intr.eval(&one[..n]);
                     }
                 }
+                ChunkOp::Fold { op, acc, src } => {
+                    let a = &mut cx.accs[*acc as usize];
+                    *a = fold_lanes(*op, *a, &cx.lane[*src as usize][..l]);
+                }
             }
         }
         for s in cx.streams.iter_mut() {
@@ -970,10 +1015,12 @@ unsafe fn chunk_avx2(cx: &mut ChunkCtx) -> Result<(), ExecError> {
 ///
 /// `t_start`/`t_stop` override the loop range so a parallel tile can run
 /// its slice; the sequential VM passes `info.start`/`info.stop`. `regs`
-/// supplies broadcast scalars and receives the last lane's values of
-/// every lane register afterwards, exactly as the scalar loop would have
-/// left them. Returns `iters == 0` (and touches nothing) when the
-/// effective width is < 2 or the range has fewer iterations than lanes.
+/// supplies broadcast scalars and the reduction accumulators' starting
+/// values, and receives the folded accumulators and the last lane's
+/// values of every lane register afterwards, exactly as the scalar loop
+/// would have left them. Returns `iters == 0` (and touches nothing) when
+/// the effective width is < 2 or the range has fewer iterations than
+/// lanes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_lanes<M: LaneMem>(
     code: &Code,
@@ -1006,6 +1053,7 @@ pub(crate) fn run_lanes<M: LaneMem>(
     let mut streams: Vec<MemStream> = Vec::new();
     let mut bcast: Vec<f64> = Vec::new();
     let mut slots: HashMap<u64, u16> = HashMap::new();
+    let mut acc_regs: Vec<Reg> = Vec::new();
     let (mut n_loads, mut n_stores, mut n_points, mut n_flops) = (0u64, 0u64, 0u64, 0u64);
     const IDX_KEY: u64 = 1 << 32;
     for op in &info.body {
@@ -1091,8 +1139,18 @@ pub(crate) fn run_lanes<M: LaneMem>(
                 n_points += 1;
                 n_flops += *flops as u64;
             }
+            LaneOp::Fold { op, acc, src } => {
+                let s = src_slot(&mut slots, &mut bcast, n_lane, regs, *src);
+                acc_regs.push(*acc);
+                ops.push(ChunkOp::Fold {
+                    op: *op,
+                    acc: (acc_regs.len() - 1) as u16,
+                    src: s,
+                });
+            }
         }
     }
+    let mut accs: Vec<f64> = acc_regs.iter().map(|&r| regs[r as usize]).collect();
 
     lane.clear();
     lane.resize(n_lane + bcast.len(), [0.0; MAX_LANES]);
@@ -1104,6 +1162,7 @@ pub(crate) fn run_lanes<M: LaneMem>(
         ops: &ops,
         streams: &mut streams,
         lane: lane.as_mut_slice(),
+        accs: &mut accs,
         l,
         chunks,
         base0: t_start,
@@ -1119,6 +1178,9 @@ pub(crate) fn run_lanes<M: LaneMem>(
     // chunk.
     for (slot, &r) in info.lane_regs.iter().enumerate() {
         regs[r as usize] = lane[slot][l - 1];
+    }
+    for (&r, &v) in acc_regs.iter().zip(&accs) {
+        regs[r as usize] = v;
     }
     run.iters = chunks * l as i64;
     let per = chunks as u64 * l as u64;
@@ -1382,7 +1444,7 @@ mod tests {
     }
 
     #[test]
-    fn reductions_are_never_annotated() {
+    fn reductions_fold_their_lanes_into_the_accumulator() {
         let sp = ScalarProgram {
             program: prog(),
             stmts: vec![LStmt::ReduceNest {
@@ -1395,10 +1457,53 @@ mod tests {
         };
         let mut code = compiled(&sp);
         superfuse(&mut code);
+        assert_eq!(code.simds.len(), 1, "the reduce loop gets lanes");
+        let folds: Vec<&LaneOp> = code.simds[0]
+            .body
+            .iter()
+            .filter(|op| matches!(op, LaneOp::Fold { .. }))
+            .collect();
         assert!(
-            code.simds.is_empty(),
-            "reduction bodies carry a register dependence"
+            matches!(
+                folds[..],
+                [LaneOp::Fold {
+                    op: ReduceOp::Sum,
+                    src: LaneSrc::Lane(_),
+                    ..
+                }]
+            ),
+            "{folds:?}"
         );
+    }
+
+    #[test]
+    fn shared_accumulators_are_never_annotated() {
+        // `s max<<= A[i]; B[i] = s`: the store reads the running maximum,
+        // so the accumulator is not private to its fold and lanes would
+        // expose a chunk-granular value.
+        let sp = ScalarProgram {
+            program: prog(),
+            stmts: vec![LStmt::Nest(LoopNest {
+                region: RegionId(0),
+                structure: vec![1],
+                body: vec![
+                    ElemStmt {
+                        target: ElemRef::Reduce(ScalarId(0), ReduceOp::Max),
+                        rhs: load(0),
+                    },
+                    ElemStmt {
+                        target: ElemRef::Array(ArrayId(1), Offset(vec![0])),
+                        rhs: EExpr::ScalarRef(ScalarId(0)),
+                    },
+                ],
+                cluster: 0,
+                temps: 0,
+            })],
+        };
+        let mut code = compiled(&sp);
+        superfuse(&mut code);
+        assert!(code.simds.is_empty(), "the accumulator is read by a store");
+        assert!(code.pars.is_empty(), "nor may the ladder split");
     }
 
     #[test]

@@ -22,14 +22,18 @@
 //!    dominate the flat index (every contributing dimension is checked
 //!    and the checked ranges cover the allocation).
 //!
-//! 4. **SIMD structure** — every `Op::SimdBegin` annotation is
-//!    re-derived from the bytecode: the loop shape must match the recorded
-//!    `SimdInfo`, the lane body must decode to
-//!    exactly the recorded lane program, and the recorded lane count must
-//!    not exceed the width the alias analysis re-proves safe (per-lane
-//!    bounds are the base access interval widened by the lane stride;
-//!    chunk clamping keeps every lane index inside the scalar-proven
-//!    range, so the width is the load-bearing claim).
+//! 4. **SIMD and ladder structure** — every `Op::SimdBegin` annotation
+//!    is re-derived from the bytecode: the loop shape must match the
+//!    recorded `SimdInfo`, the lane body must decode to exactly the
+//!    recorded lane program (its fold list and fold order included), and
+//!    the recorded lane count must not exceed the width the alias
+//!    analysis re-proves safe (per-lane bounds are the base access
+//!    interval widened by the lane stride; chunk clamping keeps every
+//!    lane index inside the scalar-proven range, so the width is the
+//!    load-bearing claim). Every `Op::ParBegin` ladder's reductions are
+//!    re-derived too: each must be a `Max`/`Min` into an accumulator no
+//!    other op of the ladder touches, and together they must be exactly
+//!    the ladder's recorded fold list, in order.
 //!
 //! Superinstructions (`LdLdBin` et al.) verify exactly like their
 //! constituent sequences: each phase treats a bundle as its ordered
@@ -40,9 +44,10 @@
 //! stores skip the slice bounds check, which the proof has discharged.
 #![deny(missing_docs)]
 
-use crate::bytecode::{Code, Op, MAX_LANES, MAX_RANK};
+use crate::bytecode::{private_folds, Code, LaneOp, Op, MAX_LANES, MAX_RANK};
 use crate::simd;
 use std::fmt;
+use zlang::ast::ReduceOp;
 
 /// A finding from the bytecode verifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,6 +188,7 @@ pub(crate) fn verify(code: &Code) -> Vec<VerifyDiagnostic> {
         return diags; // the simd re-analysis assumes in-bounds accesses
     }
     diags.extend(simd_structure(code));
+    diags.extend(ladder_folds(code));
     diags
 }
 
@@ -1196,12 +1202,92 @@ fn simd_structure(code: &Code) -> Vec<VerifyDiagnostic> {
             ));
             continue;
         }
+        let folds = |body: &[LaneOp]| -> Vec<LaneOp> {
+            body.iter()
+                .filter(|op| matches!(op, LaneOp::Fold { .. }))
+                .cloned()
+                .collect()
+        };
+        if folds(&info.body) != folds(&cand.body) {
+            diags.push(VerifyDiagnostic::at(
+                pc,
+                format!(
+                    "simd loop {simd} records a fold list that differs from the reductions \
+                     of its loop body (accumulators, operators or order)"
+                ),
+            ));
+            continue;
+        }
         if info.body != cand.body || info.lane_regs != cand.lane_regs {
             diags.push(VerifyDiagnostic::at(
                 pc,
                 format!(
                     "simd loop {simd} has mismatched superinstruction operands: the lane \
                      program does not decode from the loop body"
+                ),
+            ));
+        }
+    }
+    diags
+}
+
+/// Re-derives every `Op::ParBegin` ladder's fold list from the bytecode.
+///
+/// Tiles run the ladder with private frames and the coordinator combines
+/// their partial accumulators, which is exact only for `Max`/`Min` (see
+/// [`fold`](crate::fold)) into accumulators nothing else in the ladder
+/// reads or writes; the combine step writes back exactly the recorded
+/// `(register, op)` list, so that list must name every reduction in the
+/// ladder, in pc order.
+fn ladder_folds(code: &Code) -> Vec<VerifyDiagnostic> {
+    let mut diags = Vec::new();
+    for (pc, op) in code.ops.iter().enumerate() {
+        let Op::ParBegin { par } = *op else {
+            continue;
+        };
+        let info = &code.pars[par as usize];
+        let (entry, exit) = (info.entry as usize, info.exit as usize);
+        if entry > exit {
+            diags.push(VerifyDiagnostic::at(
+                pc,
+                format!("parallel ladder {par} has an inverted pc range"),
+            ));
+            continue;
+        }
+        let found = match private_folds(&code.ops[entry..exit]) {
+            Ok(found) => found,
+            Err((q, r)) => {
+                diags.push(VerifyDiagnostic::at(
+                    entry + q,
+                    format!(
+                        "parallel ladder {par} accumulator r{r} is touched by another op in \
+                         the ladder, so tiles cannot fold private partials"
+                    ),
+                ));
+                continue;
+            }
+        };
+        let mut bad_op = false;
+        for f in &found {
+            if !matches!(f.op, ReduceOp::Max | ReduceOp::Min) {
+                bad_op = true;
+                diags.push(VerifyDiagnostic::at(
+                    entry + f.at,
+                    format!(
+                        "parallel ladder {par} carries a {:?} reduction into r{}; only \
+                         max/min accumulators may split across tiles",
+                        f.op, f.acc
+                    ),
+                ));
+            }
+        }
+        let derived: Vec<_> = found.iter().map(|f| (f.acc, f.op)).collect();
+        if !bad_op && derived != info.folds {
+            diags.push(VerifyDiagnostic::at(
+                pc,
+                format!(
+                    "parallel ladder {par} records fold list {:?} but its body folds {:?}",
+                    info.folds, derived
                 ),
             ));
         }
@@ -1556,6 +1642,116 @@ mod tests {
         code.simds[0].head += 1;
         let diags = verify(&code);
         assert!(!diags.is_empty(), "{diags:?}");
+    }
+
+    /// `B = A + 1; s max<<= A; t min<<= 2*A` over a 2-D region: one
+    /// ladder folding two private accumulators, whose inner loop also
+    /// gets lanes with the same two folds.
+    fn max_min_program() -> ScalarProgram {
+        use zlang::ast::BinOp;
+        let program = zlang::compile(
+            "program t; config n : int = 8; region R = [1..n, 1..n]; \
+             var A, B : [R] float; var s, t : float; begin end",
+        )
+        .unwrap();
+        let a = || Box::new(EExpr::Load(ArrayId(0), Offset(vec![0, 0])));
+        ScalarProgram {
+            program,
+            stmts: vec![LStmt::Nest(LoopNest {
+                region: RegionId(0),
+                structure: vec![1, 2],
+                body: vec![
+                    ElemStmt {
+                        target: ElemRef::Array(ArrayId(1), Offset(vec![0, 0])),
+                        rhs: EExpr::Binary(BinOp::Add, a(), Box::new(EExpr::Const(1.0))),
+                    },
+                    ElemStmt {
+                        target: ElemRef::Reduce(zlang::ir::ScalarId(0), ReduceOp::Max),
+                        rhs: *a(),
+                    },
+                    ElemStmt {
+                        target: ElemRef::Reduce(zlang::ir::ScalarId(1), ReduceOp::Min),
+                        rhs: EExpr::Binary(BinOp::Mul, Box::new(EExpr::Const(2.0)), a()),
+                    },
+                ],
+                cluster: 0,
+                temps: 0,
+            })],
+        }
+    }
+
+    fn has(diags: &[VerifyDiagnostic], text: &str) -> bool {
+        diags.iter().any(|d| d.message.contains(text))
+    }
+
+    #[test]
+    fn max_min_ladder_with_lane_folds_verifies() {
+        let code = superfused(&max_min_program());
+        assert_eq!(code.pars.len(), 1);
+        assert_eq!(
+            code.pars[0].folds,
+            vec![(0, ReduceOp::Max), (1, ReduceOp::Min)]
+        );
+        assert_eq!(code.simds.len(), 1);
+        let diags = verify(&code);
+        assert!(diags.is_empty(), "{diags:?}");
+    }
+
+    #[test]
+    fn sum_reduce_inside_a_ladder_is_rejected() {
+        // Hand-edit the max fold into a sum: tiles would reassociate it.
+        let mut code = superfused(&max_min_program());
+        let op = code
+            .ops
+            .iter_mut()
+            .find_map(|op| match op {
+                Op::Reduce { op, .. } => Some(op),
+                _ => None,
+            })
+            .unwrap();
+        *op = ReduceOp::Sum;
+        let diags = verify(&code);
+        assert!(has(&diags, "only max/min accumulators"), "{diags:?}");
+    }
+
+    #[test]
+    fn reordered_ladder_fold_list_is_rejected() {
+        let mut code = superfused(&max_min_program());
+        code.pars[0].folds.swap(0, 1);
+        let diags = verify(&code);
+        assert!(has(&diags, "records fold list"), "{diags:?}");
+    }
+
+    #[test]
+    fn reordered_lane_fold_list_is_rejected() {
+        let mut code = superfused(&max_min_program());
+        let body = &mut code.simds[0].body;
+        let folds: Vec<usize> = (0..body.len())
+            .filter(|&i| matches!(body[i], LaneOp::Fold { .. }))
+            .collect();
+        assert_eq!(folds.len(), 2, "{body:?}");
+        body.swap(folds[0], folds[1]);
+        let diags = verify(&code);
+        assert!(has(&diags, "fold list that differs"), "{diags:?}");
+    }
+
+    #[test]
+    fn accumulator_read_by_another_ladder_op_is_rejected() {
+        // Replace the body's tick with a copy out of the max accumulator:
+        // another op now observes the running value.
+        let mut code = superfused(&max_min_program());
+        let scratch = code.frame - 1;
+        let tick = code
+            .ops
+            .iter()
+            .position(|op| matches!(op, Op::Tick { .. }))
+            .unwrap();
+        code.ops[tick] = Op::Mov {
+            dst: scratch,
+            src: 0,
+        };
+        let diags = verify(&code);
+        assert!(has(&diags, "accumulator r0 is touched"), "{diags:?}");
     }
 
     #[test]

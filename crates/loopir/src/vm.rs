@@ -36,14 +36,13 @@
 
 use crate::bytecode::{self, Check, Code, Op, MAX_LANES, MAX_RANK};
 use crate::exec::{ExecLimits, ExecOpts, Executor, RunOutcome, TileStats};
-use crate::interp::{binop, ExecError, Observer, RunStats};
+use crate::interp::{binop, fold, ExecError, Observer, RunStats};
 use crate::ir::ScalarProgram;
 use crate::par::Pool;
 use crate::simd;
 use crate::verifier::{self, VerifyDiagnostic};
 use std::sync::Arc;
 use testkit::faults::{self, FaultSite};
-use zlang::ast::ReduceOp;
 use zlang::ir::{ArrayId, ConfigBinding};
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -238,7 +237,8 @@ impl Vm {
     /// [`Observer::wants_addresses`]`() == false`; otherwise the run stays
     /// sequential so the address stream keeps its contracted order.
     /// Results are bit-identical to the sequential run for every thread
-    /// count: tiles partition the writes, reductions never tile, and the
+    /// count: tiles partition the writes, only order-free `max`/`min`
+    /// reductions tile (their partials combine exactly), and the
     /// per-tile counters merge in deterministic tile order.
     pub fn set_threads(&mut self, threads: usize) {
         let threads = if threads == 0 {
@@ -504,14 +504,7 @@ impl Vm {
                     stores += 1;
                 }
                 Op::Reduce { op, dst, src } => {
-                    let a = regs[dst as usize];
-                    let v = regs[src as usize];
-                    regs[dst as usize] = match op {
-                        ReduceOp::Sum => a + v,
-                        ReduceOp::Prod => a * v,
-                        ReduceOp::Max => a.max(v),
-                        ReduceOp::Min => a.min(v),
-                    };
+                    regs[dst as usize] = fold(op, regs[dst as usize], regs[src as usize]);
                 }
                 Op::Tick { flops: n } => {
                     points += 1;
@@ -532,12 +525,11 @@ impl Vm {
                     // the ordered address stream) fall through into the
                     // ladder; this op is then a no-op.
                     if let Some(pool) = fan_out {
-                        let info = code.pars[pi as usize];
                         let mark = batch_tiles.len();
                         let r = crate::par::run_ladder(
                             pool,
                             code,
-                            info,
+                            pi as usize,
                             regs,
                             &idx,
                             arrays,
@@ -562,7 +554,7 @@ impl Vm {
                             }
                             fuel_left -= used;
                         }
-                        pc = info.exit as usize;
+                        pc = code.pars[pi as usize].exit as usize;
                     }
                 }
                 Op::Alloc { arr } => alloc(code, arrays, stats, next_base, arr as usize),
@@ -1090,6 +1082,51 @@ mod tests {
         let op = par.execute(&mut NoopObserver).unwrap();
         assert_eq!(os, op);
         assert!(par.tile_stats().is_empty());
+    }
+
+    #[test]
+    fn max_min_nests_fan_out_and_sum_nests_stay_sequential() {
+        use zlang::ast::{BinOp, ReduceOp};
+        let nest = |op: ReduceOp| ScalarProgram {
+            program: prog(),
+            stmts: vec![LStmt::Nest(LoopNest {
+                region: RegionId(0),
+                structure: vec![1, 2],
+                body: vec![
+                    ElemStmt {
+                        target: ElemRef::Array(zlang::ir::ArrayId(0), Offset(vec![0, 0])),
+                        rhs: EExpr::Index(1),
+                    },
+                    ElemStmt {
+                        target: ElemRef::Reduce(ScalarId(0), op),
+                        rhs: EExpr::Binary(
+                            BinOp::Sub,
+                            Box::new(EExpr::Index(1)),
+                            Box::new(EExpr::Index(0)),
+                        ),
+                    },
+                    ElemStmt {
+                        target: ElemRef::Reduce(ScalarId(1), ReduceOp::Min),
+                        rhs: EExpr::Index(0),
+                    },
+                ],
+                cluster: 0,
+                temps: 0,
+            })],
+        };
+        for (op, tiles) in [(ReduceOp::Max, true), (ReduceOp::Sum, false)] {
+            let sp = nest(op);
+            let b = ConfigBinding::defaults(&sp.program);
+            let want = Interp::new(&sp, b.clone())
+                .execute(&mut NoopObserver)
+                .unwrap();
+            let mut par = Vm::new(&sp, b).unwrap();
+            par.verify().unwrap();
+            par.set_threads(3);
+            let got = par.execute(&mut NoopObserver).unwrap();
+            assert_eq!(want, got, "{op:?}");
+            assert_eq!(!par.tile_stats().is_empty(), tiles, "{op:?}");
+        }
     }
 
     #[test]

@@ -49,8 +49,8 @@ fn disasm(name: &str, source: &str, engine: &str) -> String {
 
 /// The benchmarks pinned: `simple` (the headline element-wise kernel the
 /// ≥4x bar is measured on) and `tomcatv` (stencils, reductions, and a
-/// time loop — exercises alias caps and the never-vectorized reduction
-/// rule).
+/// time loop — exercises alias caps, lane folds, and a `max<<` ladder
+/// split across tiles).
 const PINNED: [&str; 2] = ["simple", "tomcatv"];
 
 #[test]
@@ -91,4 +91,35 @@ fn every_vm_engine_prints_the_same_pinned_bytecode() {
             );
         }
     }
+}
+
+/// Counts the ops of a `--print bytecode` listing with one mnemonic
+/// (`;;` table lines are not ops).
+fn markers(listing: &str, mnemonic: &str) -> usize {
+    listing
+        .lines()
+        .filter(|l| !l.starts_with(";;") && l.split_whitespace().nth(1) == Some(mnemonic))
+        .count()
+}
+
+#[test]
+fn reduction_nests_get_lanes_and_max_ladders_get_tiles() {
+    // Tomcatv's fused relaxation nest ends in two `max<<` folds: it gains
+    // a ladder (4 -> 5) and a lane loop, and the closing `+<<` checksum
+    // loop gains lanes too (4 -> 6 simd loops).
+    let tomcatv = zpl_fusion::workloads::by_name("tomcatv").unwrap();
+    let listing = disasm(tomcatv.name, tomcatv.source, "vm-par");
+    assert_eq!(markers(&listing, "par"), 5, "{listing}");
+    assert_eq!(markers(&listing, "simd"), 6, "{listing}");
+    assert!(
+        listing.contains("folds [Max r0, Max r1]"),
+        "the fused nest's ladder lists both max accumulators\n{listing}"
+    );
+    // EP contracts everything into one nest carrying ten `+<<` folds: it
+    // stays sequential but runs in lanes.
+    let ep = zpl_fusion::workloads::by_name("ep").unwrap();
+    let listing = disasm(ep.name, ep.source, "vm");
+    assert_eq!(markers(&listing, "par"), 0, "{listing}");
+    assert_eq!(markers(&listing, "simd"), 1, "{listing}");
+    assert_eq!(listing.matches(") over lanes").count(), 10, "{listing}");
 }

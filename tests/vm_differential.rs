@@ -79,8 +79,9 @@ fn engines_agree_on_every_benchmark_at_every_level() {
 #[test]
 fn vm_par_is_bit_identical_to_interp_at_every_thread_count() {
     // The presets promise results independent of the thread count and
-    // lane width: tile decomposition is static, reductions never split or
-    // vectorize, and per-tile stats merge in tile order. Sweep every
+    // lane width: tile decomposition is static, lanes fold reductions in
+    // iteration order, only max/min reductions split across tiles, and
+    // per-tile stats merge in tile order. Sweep every
     // distinct configuration against the reference interpreter on every
     // benchmark at every level.
     for bench in zpl_fusion::workloads::all() {
